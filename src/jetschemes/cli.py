@@ -48,12 +48,10 @@ _COMMANDS = ("jets", "jetsradical", "graphjets", "minors",
 
 
 @dataclass
-class _Primes:
-    items: list
+class _Groups:
+    """Minimal primes or minimal vertex covers, as groups of variables."""
 
-
-@dataclass
-class _Covers:
+    kind: str  # "primes" or "covers"
     items: list
 
 
@@ -160,12 +158,12 @@ def _eval_command(stmt, offset, session):
         if cmd == "minimalprimes":
             value = session.lookup(name, (Ideal, JetIdeal, MonomialIdeal), "an ideal")
             primes = minimal_primes_squarefree(_as_monomial_ideal(value, name))
-            return echo, _Primes(primes)
+            return echo, _Groups("primes", primes)
         G = session.lookup(name, Graph, "a graph")
         if cmd == "chromatic":
             return echo, chromatic_number(G)
         if cmd == "covers":
-            return echo, _Covers(minimal_vertex_covers(G))
+            return echo, _Groups("covers", minimal_vertex_covers(G))
         if cmd == "complement":
             return echo, complement_graph(G)
         return echo, is_chordal(G)
@@ -179,7 +177,7 @@ def _render_lines(result):
         return [monomial_str(result.ring, m) for m in result.generators]
     if isinstance(result, Graph):
         return [f"{u.name}-{v.name}" for u, v in result.edge_pairs()]
-    if isinstance(result, (_Primes, _Covers)):
+    if isinstance(result, _Groups):
         return ["(" + ",".join(v.name for v in group) + ")" for group in result.items]
     if isinstance(result, bool):
         return ["true" if result else "false"]
@@ -200,12 +198,9 @@ def emit_json(result):
         obj = {"kind": "graph",
                "vertices": [v.name for v in result.vertices],
                "edges": [[u.name, v.name] for u, v in result.edge_pairs()]}
-    elif isinstance(result, _Primes):
-        obj = {"kind": "primes",
-               "primes": [[v.name for v in group] for group in result.items]}
-    elif isinstance(result, _Covers):
-        obj = {"kind": "covers",
-               "covers": [[v.name for v in group] for group in result.items]}
+    elif isinstance(result, _Groups):
+        obj = {"kind": result.kind,
+               result.kind: [[v.name for v in group] for group in result.items]}
     elif isinstance(result, bool):
         obj = {"kind": "bool", "value": result}
     else:

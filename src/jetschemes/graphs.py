@@ -11,26 +11,19 @@ from __future__ import annotations
 import re
 
 from .poly import Monomial, ParseError, PolyRing, Variable
-from .monomial import MonomialIdeal, jets_radical, minimal_transversals
+from .monomial import MonomialIdeal, _minimal_masks, jets_radical, minimal_transversals
 
 
-class Graph:
-    """A finite simple graph; vertices are Variables, edges unordered pairs."""
+class _Vertices:
+    """Named vertices with an index lookup, shared by graphs and hypergraphs."""
 
-    __slots__ = ("vertices", "edges", "_index")
+    __slots__ = ("vertices", "_index")
 
-    def __init__(self, vertices, edges):
+    def __init__(self, vertices):
         self.vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex")
-        pairs = set()
-        for u, v in edges:
-            i, j = self._resolve(u), self._resolve(v)
-            if i == j:
-                raise ValueError(f"loop at vertex {self.vertices[i].name}")
-            pairs.add((min(i, j), max(i, j)))
-        self.edges = tuple(sorted(pairs))
 
     def _resolve(self, v):
         if isinstance(v, int):
@@ -41,6 +34,22 @@ class Graph:
             return self._index[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
+
+
+class Graph(_Vertices):
+    """A finite simple graph; vertices are Variables, edges unordered pairs."""
+
+    __slots__ = ("edges",)
+
+    def __init__(self, vertices, edges):
+        super().__init__(vertices)
+        pairs = set()
+        for u, v in edges:
+            i, j = self._resolve(u), self._resolve(v)
+            if i == j:
+                raise ValueError(f"loop at vertex {self.vertices[i].name}")
+            pairs.add((min(i, j), max(i, j)))
+        self.edges = tuple(sorted(pairs))
 
     def edge_pairs(self):
         """Edges as pairs of Variables, in canonical order."""
@@ -67,34 +76,22 @@ class Graph:
         return f"Graph({self})"
 
 
-class HyperGraph:
+class HyperGraph(_Vertices):
     """A hypergraph with nonempty edges, kept inclusion-minimal."""
 
-    __slots__ = ("vertices", "edges", "_index")
+    __slots__ = ("edges",)
 
     def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
-            raise ValueError("duplicate vertex")
-        sets = set()
+        super().__init__(vertices)
+        masks = []
         for edge in edges:
-            members = frozenset(self._resolve(v) for v in edge)
-            if not members:
+            mask = sum({1 << self._resolve(v) for v in edge})
+            if not mask:
                 raise ValueError("empty hyperedge")
-            sets.add(members)
-        minimal = [e for e in sets if not any(o < e for o in sets)]
-        self.edges = tuple(sorted(tuple(sorted(e)) for e in minimal))
-
-    def _resolve(self, v):
-        if isinstance(v, int):
-            if not 0 <= v < len(self.vertices):
-                raise ValueError("vertex index out of range")
-            return v
-        try:
-            return self._index[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v}") from None
+            masks.append(mask)
+        n = len(self.vertices)
+        self.edges = tuple(sorted(tuple(i for i in range(n) if m >> i & 1)
+                                  for m in _minimal_masks(masks)))
 
     def edge_sets(self):
         return [tuple(self.vertices[i] for i in e) for e in self.edges]

@@ -5,6 +5,12 @@ the jet equations, so it can be computed without any radical machinery:
 collect the terms, pass to squarefree supports, and minimalize.  Minimal
 primes of a squarefree monomial ideal are read off as minimal vertex
 covers of the hypergraph of generator supports.
+
+Monomials and index sets are minimalized as int bitmasks by a single
+kernel, `_minimal_masks`.  A monomial is written in unary: exponent e of
+variable i fills e bits of a field of width w, the largest exponent in
+the input, so divisibility becomes mask inclusion (a squarefree monomial
+is just its support mask).
 """
 
 from __future__ import annotations
@@ -26,11 +32,16 @@ class MonomialIdeal:
 
     def __init__(self, ring, generators):
         self.ring = ring
+        generators = tuple(generators)
         nvars = len(ring.variables)
         for m in generators:
             if m.exps and m.exps[-1][0] >= nvars:
                 raise ValueError("monomial uses a variable outside the ring")
-        self.generators = tuple(_minimal_monomials(generators))
+        w = max((e for m in generators for _, e in m.exps), default=1)
+        masks = [sum(((1 << e) - 1) << (i * w) for i, e in m.exps) for m in generators]
+        kept = set(_minimal_masks(masks))
+        self.generators = tuple(dict.fromkeys(
+            m for m, mask in zip(generators, masks) if mask in kept))
         self.squarefree = all(m.is_squarefree() for m in self.generators)
 
     def to_ideal(self):
@@ -53,22 +64,26 @@ class MonomialIdeal:
         return f"MonomialIdeal({self})"
 
 
-def _minimal_monomials(gens):
-    """Drop duplicates and any monomial divisible by another; keep order."""
-    unique = []
-    seen = set()
-    for m in gens:
-        if m not in seen:
-            seen.add(m)
-            unique.append(m)
-    return [m for m in unique
-            if not any(g != m and g.divides(m) for g in unique)]
+def _minimal_masks(masks):
+    """The inclusion-minimal ones among some int bitmasks, duplicates dropped.
+
+    Visiting the distinct masks by popcount puts every proper subset of a
+    mask before it, so a mask is kept iff no kept mask is a subset of it.
+    """
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def minimalize(ring, gens):
     """Minimal generators, sorted in canonical term order, largest first."""
     ordered = sorted(set(gens), key=lambda m: term_key(ring, m), reverse=True)
-    return _minimal_monomials(ordered)
+    return list(MonomialIdeal(ring, ordered).generators)
 
 
 def is_monomial_ideal(I):
@@ -90,36 +105,26 @@ def jets_radical(s, I):
     ji = jets_ideal(s, I)
     supports = {m.squarefree_part() for g in ji.generators for m in g._terms}
     ring = ji.ring.ring
-    return MonomialIdeal(ring, minimalize(ring, supports))
+    return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
+                                      reverse=True))
 
 
 def minimal_transversals(edges):
     """All inclusion-minimal hitting sets of a family of index sets.
 
-    Incremental: extend the minimal transversals of the first k edges by
-    each vertex of edge k+1, re-minimalizing after every step.  Returns
-    frozensets in a deterministic (size, sorted members) order.
+    Incremental, on bitmasks: extend the minimal transversals of the first
+    k edges by each vertex of edge k+1, re-minimalizing after every step.
+    Returns frozensets in a deterministic (size, sorted members) order.
     """
-    covers = [frozenset()]
+    covers = [0]
     for edge in edges:
-        es = frozenset(edge)
-        grown = set()
-        for c in covers:
-            if c & es:
-                grown.add(c)
-            else:
-                grown.update(c | {v} for v in es)
-        covers = _inclusion_minimal(grown)
-    return covers
-
-
-def _inclusion_minimal(sets):
-    ordered = sorted(sets, key=lambda c: (len(c), sorted(c)))
-    kept = []
-    for c in ordered:
-        if not any(k <= c for k in kept):
-            kept.append(c)
-    return kept
+        bits = {1 << v for v in edge}
+        mask = sum(bits)
+        grown = [c for c in covers if c & mask]
+        grown += [c | b for c in covers if not c & mask for b in bits]
+        covers = _minimal_masks(grown)
+    members = [[i for i in range(c.bit_length()) if c >> i & 1] for c in covers]
+    return [frozenset(c) for c in sorted(members, key=lambda c: (len(c), c))]
 
 
 def minimal_primes_squarefree(I):

@@ -100,6 +100,19 @@ def brute_minimal_covers(nvars, edges):
     return sorted(kept, key=lambda c: (len(c), sorted(c)))
 
 
+def goward_smith_jets_edges(G, s):
+    """Edges of the order-s jets of a graph, by the closed form.
+
+    Goward and Smith (Comm. Algebra, 2006): the radical of the s-jets of
+    the edge ideal is generated by u_a*v_b for every edge uv and every
+    a + b <= s, so the jets graph has exactly those edges.  Returned as a
+    set of frozen name pairs, the order-a copy of u being named u<a>.
+    """
+    return {frozenset((f"{u.name}{a}", f"{v.name}{b}"))
+            for u, v in G.edge_pairs()
+            for a in range(s + 1) for b in range(s + 1 - a)}
+
+
 def intersect_variable_primes(ring, primes):
     """Generator supports of the intersection of variable-generated primes.
 

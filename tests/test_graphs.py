@@ -10,7 +10,8 @@ from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, Variable,
                         parse_variables, ring_make)
 
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
-from oracles import brute_chromatic, chordal_by_induced_cycles, random_graph
+from oracles import (brute_chromatic, chordal_by_induced_cycles, goward_smith_jets_edges,
+                     random_graph)
 
 
 def _edge_names(G):
@@ -89,6 +90,10 @@ def test_jets_graph_vertex_count():
         G = random_graph(rng, rng.randint(1, 5))
         s = rng.randint(0, 2)
         assert len(jets_graph(s, G).vertices) == (s + 1) * len(G.vertices)
+        # edges agree with the Goward-Smith closed form at every order <= 4
+        for t in range(5):
+            got = {frozenset(e) for e in _edge_names(jets_graph(t, G))}
+            assert got == goward_smith_jets_edges(G, t)
 
 
 def test_jets_graph_monotone_inclusion(demo_graph):

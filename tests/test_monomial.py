@@ -4,8 +4,8 @@ import pytest
 
 from jetschemes import (Ideal, Monomial, MonomialIdeal, is_monomial_ideal,
                         jets_ideal, jets_radical, minimal_primes_squarefree,
-                        minimalize, monomial_str, parse_poly, parse_variables,
-                        ring_make)
+                        minimal_transversals, minimalize, monomial_str,
+                        parse_poly, parse_variables, ring_make, term_key)
 
 from expected import XYZ_JET2_MINIMAL_PRIMES, XYZ_JET2_RADICAL
 from oracles import (brute_minimal_covers, intersect_variable_primes,
@@ -45,6 +45,24 @@ def test_minimalize_random_is_minimal_generating_set():
         assert not any(g != m and g.divides(m) for g in kept)
     for m in mons:
         assert any(g.divides(m) for g in kept)
+
+    # mixed exponents up to 5, repeats and the monomial 1: exactly the
+    # survivors of a pairwise divisibility scan, in input order
+    for _ in range(60):
+        mons = [Monomial({i: rng.randint(1, 5)
+                          for i in rng.sample(range(4), rng.randint(0, 4))})
+                for _ in range(rng.randint(0, 10))]
+        mons += rng.sample(mons, len(mons) // 3)
+        if rng.random() < 0.2:
+            mons.append(Monomial())
+        rng.shuffle(mons)
+        want = []
+        for m in mons:
+            if m not in want and not any(g != m and g.divides(m) for g in mons):
+                want.append(m)
+        assert list(MonomialIdeal(ring, mons).generators) == want
+        assert minimalize(ring, mons) == \
+            sorted(want, key=lambda m: term_key(ring, m), reverse=True)
 
 
 def test_jets_radical_xyz_order2(xyz_ideal):
@@ -110,8 +128,14 @@ def test_minimal_primes_match_subset_scan():
         I = random_squarefree_ideal(rng, ring)
         primes = minimal_primes_squarefree(I)
         got = [frozenset(ring.index(v) for v in p) for p in primes]
-        want = brute_minimal_covers(6, [m.support() for m in I.generators])
+        supports = [m.support() for m in I.generators]
+        want = brute_minimal_covers(6, supports)
         assert got == [frozenset(c) for c in want]
+        covers = minimal_transversals(supports)
+        assert covers == want
+        assert all(type(c) is frozenset for c in covers)
+    assert minimal_transversals([]) == [frozenset()]
+    assert minimal_transversals([(0, 1), (), (2,)]) == []
 
 
 def test_containment_of_jets_in_radical(xyz_ideal):
@@ -167,3 +191,4 @@ def test_monomial_ideal_minimalizes_but_keeps_order(xyz_ring):
     z = Monomial({2: 1})
     I = MonomialIdeal(xyz_ring, [z, xy, x])
     assert list(I.generators) == [z, x]
+    assert MonomialIdeal(xyz_ring, iter([z, xy, x])) == I
