@@ -7,16 +7,26 @@ x_k -> x_{k,0} + x_{k,1} t + ... + x_{k,s} t^s and reading off the
 coefficients of t^0..t^s turns a polynomial into an order-s truncated
 series; the jets of an ideal are generated by those coefficients.
 
-All series arithmetic here is performed modulo t^(s+1), which produces
-exactly the coefficients 0..s of the full expansion.
+The expansion needs no polynomial arithmetic.  Mapping each jet
+variable x_{k,a} back to x_k sends every term of the expansion of a
+monomial m of f back to m, so different monomials of f never share a
+jet monomial; and the variables of m expand into disjoint sets of jet
+variables, so terms can only combine inside one power
+(x_{k,0} + x_{k,1} t + ... + x_{k,s} t^s)^e.  That power is an integer
+table, the same for every variable up to relabeling: for each t-degree
+j <= s, the multisets of orders summing to j with their multinomial
+counts.  Each term of f is then a truncated convolution of the tables of
+its variables, scaled once by its rational coefficient, and every jet
+monomial it yields is distinct, so the coefficients of t^0..t^s are
+exactly those of the full expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
-from .poly import Ideal, Poly, PolyRing, Variable
+from .poly import Ideal, Monomial, Poly, PolyRing, Variable
 
 
 @dataclass(eq=True)
@@ -75,24 +85,27 @@ class TruncatedSeries:
         return " + ".join(f"({c})*t^{j}" for j, c in enumerate(self.coeffs))
 
 
-def _series_mul(a, b, zero):
-    s = len(a) - 1
-    out = [zero] * (s + 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(s + 1 - i):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
+def _power_table(e, s):
+    """(y_0 + y_1 t + ... + y_s t^s)^e modulo t^(s+1), on integers.
 
-
-def _series_pow(a, e, one, zero):
-    result = [one] + [zero] * (len(a) - 1)
-    for _ in range(e):
-        result = _series_mul(result, a, zero)
-    return result
+    Entry d lists the terms of t^d as (((order, mult), ...), count): the
+    orders ascend, the mults sum to e, and count is the multinomial
+    e! / prod(mult!).  Orders s..1 are placed first; order 0 takes what
+    is left of e.
+    """
+    partial = [((), e, 0, 1)]   # (pattern, multiplicity left, t-degree, count)
+    for o in range(s, 0, -1):
+        grown = []
+        for pattern, left, d, count in partial:
+            grown.append((pattern, left, d, count))
+            for m in range(1, min(left, (s - d) // o) + 1):
+                grown.append((((o, m),) + pattern, left - m, d + m * o,
+                              count * comb(left, m)))
+        partial = grown
+    table = [[] for _ in range(s + 1)]
+    for pattern, left, d, count in partial:
+        table[d].append((((0, left),) + pattern if left else pattern, count))
+    return table
 
 
 def series_substitute(f, jets):
@@ -100,22 +113,45 @@ def series_substitute(f, jets):
 
     Returns the TruncatedSeries whose j-th coefficient is the t^j part of
     f(sum_j x_{1,j} t^j, ..., sum_j x_{n,j} t^j), for j = 0..s.
+
+    Since no two terms of the expansion share a jet monomial (see the
+    module docstring), each term c*m of f contributes the t-degree
+    convolution, truncated at s, of the power tables of its variables,
+    scaled by c.  One table is built per exponent and relabeled once per
+    (variable, exponent), order o of variable k going to jet index
+    o*n + k; both live for this call only.  Each coefficient is built
+    once, as a Poly on normalized terms.
     """
     if f.ring != jets.base:
         raise ValueError("polynomial does not live in the base ring")
-    R = jets.ring
     s = jets.order
-    zero = R.zero()
-    one = R.one()
-    var_series = [[jets.jet_var(v, j) for j in range(s + 1)]
-                  for v in jets.base.variables]
-    out = [zero] * (s + 1)
+    n = len(jets.base.variables)
+    tables = {}    # exponent -> _power_table
+    factors = {}   # (variable, exponent) -> its table on jet indices
+    out = [{} for _ in range(s + 1)]
     for mono, coef in f._terms.items():
-        term = [R.constant(coef)] + [zero] * s
+        partial = [[((), 1)]] + [[] for _ in range(s)]
         for i, e in mono.exps:
-            term = _series_mul(term, _series_pow(var_series[i], e, one, zero), zero)
-        out = [out[j] + term[j] for j in range(s + 1)]
-    return TruncatedSeries(jets, tuple(out))
+            factor = factors.get((i, e))
+            if factor is None:
+                if e not in tables:
+                    tables[e] = _power_table(e, s)
+                factor = factors[i, e] = [
+                    [(tuple((o * n + i, m) for o, m in pattern), count)
+                     for pattern, count in row] for row in tables[e]]
+            grown = [[] for _ in range(s + 1)]
+            for d, row in enumerate(partial):
+                for exps, count in row:
+                    for d2 in range(s + 1 - d):
+                        target = grown[d + d2]
+                        for exps2, count2 in factor[d2]:
+                            target.append((exps + exps2, count * count2))
+            partial = grown
+        for terms, row in zip(out, partial):
+            for exps, count in row:
+                mono_jet = Monomial._trusted(tuple(sorted(exps)))
+                terms[mono_jet] = coef if count == 1 else coef * count
+    return TruncatedSeries(jets, tuple(Poly._trusted(jets.ring, terms) for terms in out))
 
 
 @dataclass(eq=True)

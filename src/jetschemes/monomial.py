@@ -64,13 +64,16 @@ class MonomialIdeal:
         return f"MonomialIdeal({self})"
 
 
-def _minimal_masks(masks):
+def _minimal_masks(masks, minimal=()):
     """The inclusion-minimal ones among some int bitmasks, duplicates dropped.
 
     Visiting the distinct masks by popcount puts every proper subset of a
     mask before it, so a mask is kept iff no kept mask is a subset of it.
+    `minimal` seeds the kept list with distinct masks already known to be
+    minimal among them and `masks` together; they are kept as given, and
+    only `masks` is scanned.
     """
-    kept = []
+    kept = list(minimal)
     for m in sorted(set(masks), key=int.bit_count):
         for k in kept:
             if k & m == k:
@@ -112,17 +115,20 @@ def jets_radical(s, I):
 def minimal_transversals(edges):
     """All inclusion-minimal hitting sets of a family of index sets.
 
-    Incremental, on bitmasks: extend the minimal transversals of the first
-    k edges by each vertex of edge k+1, re-minimalizing after every step.
-    Returns frozensets in a deterministic (size, sorted members) order.
+    Incremental, on bitmasks (Berge): extend the minimal transversals of
+    the first k edges that miss edge k+1 by each of its vertices, and
+    re-minimalize.  The transversals that already hit edge k+1 all stay
+    minimal (a grown set inside one would contain a smaller transversal
+    of the first k edges), so only the grown sets are checked.  Returns
+    frozensets in a deterministic (size, sorted members) order.
     """
     covers = [0]
     for edge in edges:
         bits = {1 << v for v in edge}
         mask = sum(bits)
-        grown = [c for c in covers if c & mask]
-        grown += [c | b for c in covers if not c & mask for b in bits]
-        covers = _minimal_masks(grown)
+        hitting = [c for c in covers if c & mask]
+        grown = [c | b for c in covers if not c & mask for b in bits]
+        covers = _minimal_masks(grown, hitting)
     members = [[i for i in range(c.bit_length()) if c >> i & 1] for c in covers]
     return [frozenset(c) for c in sorted(members, key=lambda c: (len(c), c))]
 

@@ -183,6 +183,13 @@ class Monomial:
                 cleaned.append((i, e))
         self.exps = tuple(cleaned)
 
+    @classmethod
+    def _trusted(cls, exps):
+        """A monomial on `exps` already index-sorted with positive exponents."""
+        m = object.__new__(cls)
+        m.exps = exps
+        return m
+
     def degree(self):
         return sum(e for _, e in self.exps)
 
@@ -270,6 +277,18 @@ class Poly:
                 clean.pop(m, None)
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """A polynomial on `terms`, a dict already in normal form.
+
+        Its monomials lie in `ring` and its coefficients are nonzero
+        Fractions; the dict is adopted as it is, not copied or checked.
+        """
+        p = object.__new__(cls)
+        p.ring = ring
+        p._terms = terms
+        return p
+
     def items(self):
         """Terms as (monomial, coefficient) pairs in canonical descending order."""
         return sorted(self._terms.items(),
@@ -305,12 +324,12 @@ class Poly:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Poly(self.ring, terms)
+        return Poly._trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self._terms.items()})
+        return Poly._trusted(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -323,6 +342,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = Fraction(other)
+            # validating constructor: p * 0 must drop every term
             return Poly(self.ring, {m: c * v for m, v in self._terms.items()})
         self._check_ring(other)
         terms = {}
@@ -334,7 +354,7 @@ class Poly:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return Poly(self.ring, terms)
+        return Poly._trusted(self.ring, terms)
 
     __rmul__ = __mul__
 

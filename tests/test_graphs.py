@@ -160,6 +160,20 @@ def test_chordal_matches_induced_cycle_scan():
         assert is_chordal(G) == chordal_by_induced_cycles(len(G.vertices), G.edges)
 
 
+def test_chordal_matches_networkx(demo_graph):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20403)
+    graphs = [random_graph(rng, rng.randint(1, 10)) for _ in range(60)]
+    for s in range(4):
+        J = jets_graph(s, demo_graph)
+        graphs += [J, complement_graph(J)]
+    for G in graphs:
+        H = nx.Graph()
+        H.add_nodes_from(range(len(G.vertices)))
+        H.add_edges_from(G.edges)
+        assert is_chordal(G) == nx.is_chordal(H)
+
+
 def test_complement_graph():
     a, b, c = (Variable(ch) for ch in "abc")
     G = Graph([a, b, c], [(a, b)])

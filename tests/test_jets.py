@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from jetschemes import (Ideal, RingMap, compose, is_homogeneous, jet_ring,
-                        jets_ideal, jets_quotient, jets_ring_map, parse_poly,
-                        parse_variables, ring_make, series_substitute)
+from jetschemes import (Ideal, Monomial, Poly, RingMap, compose, is_homogeneous,
+                        jet_ring, jets_ideal, jets_quotient, jets_ring_map,
+                        parse_poly, parse_variables, ring_make, series_substitute)
 
 from expected import XYZ_JET2_GENERATORS
 from oracles import dense_from_poly, random_poly, series_by_full_expansion
@@ -56,16 +57,65 @@ def test_series_single_variable():
     assert [str(c) for c in series.coeffs] == ["x0", "x1"]
 
 
+def _assert_normal_form(c):
+    """c holds the invariants of the validating Poly constructor."""
+    for m, coef in c._terms.items():
+        assert type(coef) is Fraction and coef != 0
+        assert all(e > 0 for _, e in m.exps)
+        assert all(a[0] < b[0] for a, b in zip(m.exps, m.exps[1:]))
+    rebuilt = Poly(c.ring, [(Monomial(m.exps), coef) for m, coef in c._terms.items()])
+    assert rebuilt == c and hash(rebuilt) == hash(c)
+
+
+def _series_cases(rng, xyz_ring):
+    """(f, s): random polynomials over 3 and 4 variables, powers of one
+    variable up to the 6th, and the zero and constant polynomials."""
+    for _ in range(25):
+        yield random_poly(rng, xyz_ring), rng.randint(0, 3)
+    wxyz = ring_make(parse_variables("w,x,y,z"))
+    for _ in range(15):
+        yield random_poly(rng, wxyz, max_degree=3, max_terms=4), rng.randint(0, 8)
+    for e in range(7):
+        for text in (f"x^{e}", f"-7/3*y^{e}", f"w*x^{e}-z^{e}+1/2"):
+            yield parse_poly(text, wxyz), rng.randint(0, 8)
+    for s in (0, 1, 8):
+        yield wxyz.zero(), s
+        yield wxyz.constant(Fraction(-5, 2)), s
+        yield xyz_ring.one(), s
+
+
 def test_series_matches_full_expansion(xyz_ring):
     rng = random.Random(20201)
-    for _ in range(25):
-        f = random_poly(rng, xyz_ring)
-        s = rng.randint(0, 3)
-        J = jet_ring(xyz_ring, s)
+    for f, s in _series_cases(rng, xyz_ring):
+        J = jet_ring(f.ring, s)
         coeffs = series_substitute(f, J).coeffs
         full = series_by_full_expansion(f, J)
         for j in range(s + 1):
             assert dense_from_poly(coeffs[j]) == full.get(j, {})
+            _assert_normal_form(coeffs[j])
+
+
+def test_series_matches_sympy_expand():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20207)
+    R = ring_make(parse_variables("w,x,y,z"))
+    t = sympy.Symbol("t")
+
+    def to_sympy(p, images):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(images[i] ** e for i, e in m.exps))
+                    for m, c in p._terms.items()), sympy.Integer(0))
+
+    for _ in range(8):
+        f = random_poly(rng, R, max_degree=3, max_terms=4)
+        s = rng.randint(0, 4)
+        J = jet_ring(R, s)
+        names = sympy.symbols([v.name for v in J.ring.variables])
+        images = [sum(names[J.ring.index(jv)] * t ** j for j, jv in enumerate(J.jet_vars[v]))
+                  for v in R.variables]
+        expanded = sympy.expand(to_sympy(f, images))
+        for j, c in enumerate(series_substitute(f, J).coeffs):
+            assert sympy.expand(to_sympy(c, names) - expanded.coeff(t, j)) == 0
 
 
 def test_jets_ideal_xyz_order2(xyz_ideal):

@@ -44,6 +44,14 @@ def test_add_cancellation(xyz_ring):
     assert (x + y) + (-y) == x
 
 
+def test_zero_results_are_the_zero_polynomial(xyz_ring):
+    p = parse_poly("2*x*y-1/3*z^2+5", xyz_ring)
+    for z in (p * 0, 0 * p, p - p, p + (-p)):
+        assert z == xyz_ring.zero()
+        assert hash(z) == hash(xyz_ring.zero())
+        assert z.is_zero() and str(z) == "0"
+
+
 def test_binomial_square(xyz_ring):
     f = parse_poly("x+y", xyz_ring)
     assert f ** 2 == parse_poly("x^2+2*x*y+y^2", xyz_ring)
