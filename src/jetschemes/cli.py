@@ -14,7 +14,8 @@ like "take the radical of the jets, then its minimal primes" stay batch:
     minimalprimes RAD;
 
 Output is a deterministic transcript, one block per statement, or one
-JSON object per command with --json.  Ideal statements parse their
+JSON object per command with --json; both are printed from the same
+record of each result (`to_record`).  Ideal statements parse their
 polynomials in the most recently defined ring.
 """
 
@@ -35,8 +36,7 @@ from .matrices import GenericMatrix, generic_matrix, minors
 
 _NAME = r"[A-Za-z][A-Za-z0-9]*"
 _RING_RE = re.compile(rf"ring\s+({_NAME})\s*=\s*\[(.*)\]\s*$", re.S)
-_IDEAL_RE = re.compile(rf"ideal\s+({_NAME})\s*=\s*(.*)$", re.S)
-_GRAPH_RE = re.compile(rf"graph\s+({_NAME})\s*=\s*(.*)$", re.S)
+_BINDING_RE = re.compile(rf"(ideal|graph)\s+({_NAME})\s*=\s*(.*)$", re.S)
 _MATRIX_RE = re.compile(
     rf"matrix\s+({_NAME})\s*=\s*generic\s*\(\s*({_NAME})\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$",
     re.S)
@@ -45,6 +45,9 @@ _CMD_RE = re.compile(rf"(minimalprimes|chromatic|covers|complement|chordal)\s+({
 
 _COMMANDS = ("jets", "jetsradical", "graphjets", "minors",
              "minimalprimes", "chromatic", "covers", "complement", "chordal")
+# the commands whose result an ideal or a graph statement may bind
+_BINDABLE = {"ideal": ("jets", "jetsradical", "minors"), "graph": ("graphjets", "complement")}
+_IDEALS = (Ideal, MonomialIdeal)
 
 
 @dataclass
@@ -118,8 +121,6 @@ def _rebased(exc, offset):
 def _as_monomial_ideal(value, name):
     if isinstance(value, MonomialIdeal):
         return value
-    if isinstance(value, JetIdeal):
-        value = value.ideal
     gens = []
     for f in value.generators:
         if not f.is_term():
@@ -135,17 +136,12 @@ def _eval_command(stmt, offset, session):
         cmd, nat, name = m.group(1), int(m.group(2)), m.group(3)
         echo = f"{cmd} {m.group(2)} {name}"
         if cmd == "jets":
-            value = session.lookup(name, (Ideal, JetIdeal, MonomialIdeal), "an ideal")
-            if isinstance(value, JetIdeal):
-                value = value.ideal
-            elif isinstance(value, MonomialIdeal):
+            value = session.lookup(name, _IDEALS, "an ideal")
+            if isinstance(value, MonomialIdeal):
                 value = value.to_ideal()
-            return echo, jets_ideal(nat, value)
+            return echo, jets_ideal(nat, value).ideal
         if cmd == "jetsradical":
-            value = session.lookup(name, (Ideal, JetIdeal, MonomialIdeal), "an ideal")
-            if isinstance(value, JetIdeal):
-                value = value.ideal
-            return echo, jets_radical(nat, value)
+            return echo, jets_radical(nat, session.lookup(name, _IDEALS, "an ideal"))
         if cmd == "graphjets":
             return echo, jets_graph(nat, session.lookup(name, Graph, "a graph"))
         if cmd == "minors":
@@ -156,7 +152,7 @@ def _eval_command(stmt, offset, session):
         cmd, name = m.group(1), m.group(2)
         echo = f"{cmd} {name}"
         if cmd == "minimalprimes":
-            value = session.lookup(name, (Ideal, JetIdeal, MonomialIdeal), "an ideal")
+            value = session.lookup(name, _IDEALS, "an ideal")
             primes = minimal_primes_squarefree(_as_monomial_ideal(value, name))
             return echo, _Groups("primes", primes)
         G = session.lookup(name, Graph, "a graph")
@@ -170,52 +166,53 @@ def _eval_command(stmt, offset, session):
     raise ParseError("malformed command", offset)
 
 
-def _render_lines(result):
-    if isinstance(result, (Ideal, JetIdeal)):
-        return [str(g) for g in result.generators]
-    if isinstance(result, MonomialIdeal):
-        return [monomial_str(result.ring, m) for m in result.generators]
+def to_record(result):
+    """The JSON object of a command's result; its text lines derive from it."""
+    if isinstance(result, (Ideal, JetIdeal, MonomialIdeal)):
+        ring = result.ring.ring if isinstance(result, JetIdeal) else result.ring
+        if isinstance(result, MonomialIdeal):
+            generators = [monomial_str(ring, m) for m in result.generators]
+        else:
+            generators = [str(g) for g in result.generators]
+        return {"kind": "ideal", "ring": [v.name for v in ring.variables],
+                "generators": generators}
     if isinstance(result, Graph):
-        return [f"{u.name}-{v.name}" for u, v in result.edge_pairs()]
+        return {"kind": "graph", "vertices": [v.name for v in result.vertices],
+                "edges": [[u.name, v.name] for u, v in result.edge_pairs()]}
     if isinstance(result, _Groups):
-        return ["(" + ",".join(v.name for v in group) + ")" for group in result.items]
-    if isinstance(result, bool):
-        return ["true" if result else "false"]
-    return [str(result)]
+        return {"kind": result.kind,
+                result.kind: [[v.name for v in group] for group in result.items]}
+    return {"kind": "bool" if isinstance(result, bool) else "number", "value": result}
+
+
+def _text_lines(record):
+    kind = record["kind"]
+    if kind == "ideal":
+        return record["generators"]
+    if kind == "graph":
+        return ["-".join(edge) for edge in record["edges"]]
+    if kind in ("primes", "covers"):
+        return ["(" + ",".join(group) + ")" for group in record[kind]]
+    return [json.dumps(record["value"])]
 
 
 def emit_json(result):
-    if isinstance(result, (Ideal, JetIdeal)):
-        ring = result.ideal.ring if isinstance(result, JetIdeal) else result.ring
-        obj = {"kind": "ideal",
-               "ring": [v.name for v in ring.variables],
-               "generators": [str(g) for g in result.generators]}
-    elif isinstance(result, MonomialIdeal):
-        obj = {"kind": "ideal",
-               "ring": [v.name for v in result.ring.variables],
-               "generators": [monomial_str(result.ring, m) for m in result.generators]}
-    elif isinstance(result, Graph):
-        obj = {"kind": "graph",
-               "vertices": [v.name for v in result.vertices],
-               "edges": [[u.name, v.name] for u, v in result.edge_pairs()]}
-    elif isinstance(result, _Groups):
-        obj = {"kind": result.kind,
-               result.kind: [[v.name for v in group] for group in result.items]}
-    elif isinstance(result, bool):
-        obj = {"kind": "bool", "value": result}
-    else:
-        obj = {"kind": "number", "value": result}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(to_record(result), sort_keys=True, separators=(",", ":"))
 
 
 def _graph_echo(name, G):
-    vs = ",".join(v.name for v in G.vertices)
-    es = ",".join(f"{u.name}-{v.name}" for u, v in G.edge_pairs())
+    record = to_record(G)
+    vs = ",".join(record["vertices"])
+    es = ",".join(_text_lines(record))
     return f"graph {name} = vertices {vs}; edges {es}".rstrip()
 
 
 def _exec_statement(stmt, offset, session):
-    """Execute one statement; returns (echo, result or None)."""
+    """Execute one statement; returns (echo, result or None).
+
+    A matrix statement's echo ends with the matrix rows, so text mode shows
+    them and JSON mode, which prints results only, does not.
+    """
     head = stmt.split(None, 1)[0]
     if head == "ring":
         m = _RING_RE.fullmatch(stmt)
@@ -230,19 +227,25 @@ def _exec_statement(stmt, offset, session):
         session.define(name, ring)
         session.current_ring = ring
         return f"ring {name} = {ring}", None
-    if head == "ideal":
-        m = _IDEAL_RE.fullmatch(stmt)
+    if head in _BINDABLE:
+        m = _BINDING_RE.fullmatch(stmt)
         if m is None:
-            raise ParseError("malformed ideal statement", offset)
-        name, body = m.group(1), m.group(2)
-        body_off = offset + m.start(2)
-        rhs_head = body.split(None, 1)[0] if body.split() else ""
-        if rhs_head in ("jets", "jetsradical", "minors"):
+            raise ParseError(f"malformed {head} statement", offset)
+        name, body = m.group(2), m.group(3)
+        body_off = offset + m.start(3)
+        if (body.split(None, 1) or [""])[0] in _BINDABLE[head]:
             echo, result = _eval_command(body.strip(), body_off, session)
-            if isinstance(result, JetIdeal):
-                result = result.ideal
             session.define(name, result)
-            return f"ideal {name} = {echo}", None
+            return f"{head} {name} = {echo}", None
+        if head == "graph":
+            try:
+                G = parse_graph_text(body)
+            except ParseError as e:
+                raise _rebased(e, body_off) from None
+            except ValueError as e:
+                raise ParseError(str(e), body_off) from None
+            session.define(name, G)
+            return _graph_echo(name, G), None
         if session.current_ring is None:
             raise ValueError("no ring defined yet")
         gens = []
@@ -254,25 +257,6 @@ def _exec_statement(stmt, offset, session):
         ideal = Ideal(session.current_ring, gens)
         session.define(name, ideal)
         return f"ideal {name} = {ideal}", None
-    if head == "graph":
-        m = _GRAPH_RE.fullmatch(stmt)
-        if m is None:
-            raise ParseError("malformed graph statement", offset)
-        name, body = m.group(1), m.group(2)
-        body_off = offset + m.start(2)
-        rhs_head = body.split(None, 1)[0] if body.split() else ""
-        if rhs_head in ("graphjets", "complement"):
-            echo, result = _eval_command(body.strip(), body_off, session)
-            session.define(name, result)
-            return f"graph {name} = {echo}", None
-        try:
-            G = parse_graph_text(body)
-        except ParseError as e:
-            raise _rebased(e, body_off) from None
-        except ValueError as e:
-            raise ParseError(str(e), body_off) from None
-        session.define(name, G)
-        return _graph_echo(name, G), None
     if head == "matrix":
         m = _MATRIX_RE.fullmatch(stmt)
         if m is None:
@@ -282,7 +266,7 @@ def _exec_statement(stmt, offset, session):
         ring = session.lookup(ring_name, PolyRing, "a ring")
         matrix = generic_matrix(ring, rows, cols)
         session.define(name, matrix)
-        return f"matrix {name} = generic({ring_name},{rows},{cols})", matrix
+        return f"matrix {name} = generic({ring_name},{rows},{cols})\n{matrix}", None
     if head in _COMMANDS:
         return _eval_command(stmt, offset, session)
     raise ParseError(f"unknown statement {head!r}", offset)
@@ -295,15 +279,12 @@ def run_script(text, json_mode=False):
     for index, (stmt, offset) in enumerate(_split_statements(text), start=1):
         echo, result = _exec_statement(stmt, offset, session)
         if json_mode:
-            if result is not None and not isinstance(result, GenericMatrix):
+            if result is not None:
                 out.append(emit_json(result))
         else:
             out.append(f"[{index}] {echo}")
             if result is not None:
-                if isinstance(result, GenericMatrix):
-                    out.append(str(result))
-                else:
-                    out.extend(_render_lines(result))
+                out.extend(_text_lines(to_record(result)))
     return "\n".join(out)
 
 

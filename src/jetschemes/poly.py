@@ -17,6 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
@@ -54,20 +55,23 @@ class Variable:
         if self.jet_order is not None and self.jet_order < 0:
             raise ValueError("jet order must be a natural")
 
-    @property
+    @cached_property
     def name(self):
-        text = self.base
-        if self.jet_order is not None:
-            text += str(self.jet_order)
-        if self.subscripts:
-            text += "_(" + ",".join(str(s) for s in self.subscripts) + ")"
-        return text
+        order = "" if self.jet_order is None else str(self.jet_order)
+        return _subscripted(self.base + order, self.subscripts)
 
     def __str__(self):
         return self.name
 
     def __repr__(self):
         return f"Variable({self.name!r})"
+
+
+def _subscripted(text, subscripts):
+    """`text` followed by its subscript group, if any: "x" and (1, 2) give "x_(1,2)"."""
+    if not subscripts:
+        return text
+    return text + "_(" + ",".join(str(s) for s in subscripts) + ")"
 
 
 class PolyRing:
@@ -79,7 +83,7 @@ class PolyRing:
     """
 
     __slots__ = ("variables", "blocks", "weights", "_index", "_by_name",
-                 "_rev_slices", "_hash")
+                 "_rev_starts", "_hash")
 
     def __init__(self, variables, blocks=None, weights=None):
         self.variables = tuple(variables)
@@ -102,9 +106,8 @@ class PolyRing:
         self.weights = weights
         self._index = {v: i for i, v in enumerate(self.variables)}
         self._by_name = {v.name: i for i, v in enumerate(self.variables)}
-        stops = list(itertools.accumulate(size for _, size in self.blocks))
-        starts = [0] + stops[:-1]
-        self._rev_slices = tuple(zip(starts, stops))[::-1]
+        starts = itertools.accumulate((size for _, size in self.blocks[:-1]), initial=0)
+        self._rev_starts = tuple(starts)[::-1]
         self._hash = hash((self.variables, self.blocks, self.weights))
 
     def index(self, v):
@@ -235,16 +238,25 @@ def term_key(ring, mono):
     """Sort key for monomials, ascending in the ring's canonical order.
 
     Compares one block at a time starting from the last block; within a
-    block the order is graded reverse lexicographic.
+    block the order is graded reverse lexicographic.  Each block gives its
+    degree, then its variables from the last one as (-index, -exponent)
+    pairs.  Between blocks of equal degree neither pair list is a prefix of
+    the other, so this orders them as the block's negated exponents read
+    from its last variable, zeros included, would.
     """
-    exps = [0] * len(ring.variables)
-    for i, e in mono.exps:
-        exps[i] = e
+    exps = mono.exps
+    k = len(exps) - 1
     key = []
-    for start, stop in ring._rev_slices:
-        block = exps[start:stop]
-        key.append(sum(block))
-        key.append(tuple(-e for e in reversed(block)))
+    for start in ring._rev_starts:
+        degree = 0
+        block = []
+        while k >= 0 and exps[k][0] >= start:
+            i, e = exps[k]
+            degree += e
+            block.append((-i, -e))
+            k -= 1
+        key.append(degree)
+        key.append(tuple(block))
     return tuple(key)
 
 
@@ -438,143 +450,40 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing: two grammars over one token cursor, which also parses `var`.
 #
 # poly   := ['-'] term { ('+'|'-') term }
 # term   := coeff { '*' factor } | factor { '*' factor }
 # factor := var [ '^' nat ]
 # coeff  := int [ '/' nat ]
 # var    := ident [ '_' '(' nat { ',' nat } ')' ]
+#
+# vars   := range { ',' range }
+# range  := var [ '..' var ]
+#
+# "a..e" and "x_(1,1)..x_(3,3)" expand to ranges (single letters, or a box
+# of subscript tuples enumerated with the last coordinate varying fastest).
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
-                       r"|(?P<dots>\.\.)|(?P<sym>[-+*/^_(),])")
+                       r"|(?P<sym>\.\.|[-+*/^_(),])|(?P<bad>.)", re.S)
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, text, ring):
-        self.ring = ring
-        self.tokens = _tokenize(text)
-        self.i = 0
+class _Cursor:
+    """The tokens of one text, read left to right by both grammars."""
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def accept_sym(self, ch):
-        kind, value, _ = self.peek()
-        if kind == "sym" and value == ch:
-            self.advance()
-            return True
-        return False
-
-    def expect_sym(self, ch):
-        kind, value, pos = self.advance()
-        if kind != "sym" or value != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-
-    def expect_nat(self):
-        kind, value, pos = self.advance()
-        if kind != "int":
-            raise ParseError("expected a natural number", pos)
-        return int(value)
-
-    def parse(self):
-        negate = self.accept_sym("-")
-        result = self.term()
-        if negate:
-            result = -result
-        while True:
-            if self.accept_sym("+"):
-                result = result + self.term()
-            elif self.accept_sym("-"):
-                result = result - self.term()
-            else:
-                break
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", pos)
-        return result
-
-    def term(self):
-        coeff = Fraction(1)
-        exps = {}
-        kind, _, pos = self.peek()
-        if kind == "int":
-            coeff = self.coeff()
-        elif kind == "ident":
-            self.factor(exps)
-        else:
-            raise ParseError("expected a coefficient or a variable", pos)
-        while self.accept_sym("*"):
-            self.factor(exps)
-        return Poly(self.ring, {Monomial(exps): coeff})
-
-    def coeff(self):
-        num = self.expect_nat()
-        if self.accept_sym("/"):
-            kind, value, pos = self.advance()
-            if kind != "int":
-                raise ParseError("expected a denominator", pos)
-            den = int(value)
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def factor(self, exps):
-        kind, value, pos = self.advance()
-        if kind != "ident":
-            raise ParseError("expected a variable", pos)
-        name = value
-        if self.accept_sym("_"):
-            self.expect_sym("(")
-            subs = [self.expect_nat()]
-            while self.accept_sym(","):
-                subs.append(self.expect_nat())
-            self.expect_sym(")")
-            name += "_(" + ",".join(str(s) for s in subs) + ")"
-        if name not in self.ring._by_name:
-            raise ParseError(f"unknown variable {name}", pos)
-        i = self.ring._by_name[name]
-        e = 1
-        if self.accept_sym("^"):
-            e = self.expect_nat()
-        exps[i] = exps.get(i, 0) + e
-
-
-def parse_poly(text, ring):
-    """Parse `text` as a polynomial in `ring`.
-
-    Raises ParseError (with a position) on bad syntax or unknown variables.
-    """
-    return _PolyParser(text, ring).parse()
-
-
-# Variable-list grammar for ring construction.  A name is an ident with an
-# optional subscript group; "a..e" and "x_(1,1)..x_(3,3)" expand to ranges
-# (single letters, or a box of subscript tuples enumerated with the last
-# coordinate varying fastest).
-
-class _VarListParser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -588,69 +497,128 @@ class _VarListParser:
         return tok
 
     def accept_sym(self, ch):
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.i]
         if kind == "sym" and value == ch:
-            self.advance()
+            self.i += 1
             return True
         return False
 
-    def expect_nat(self):
+    def expect_sym(self, ch):
+        kind, value, pos = self.advance()
+        if kind != "sym" or value != ch:
+            raise ParseError(f"expected {ch!r}", pos)
+
+    def expect_nat(self, what="a natural number"):
         kind, value, pos = self.advance()
         if kind != "int":
-            raise ParseError("expected a natural number", pos)
+            raise ParseError(f"expected {what}", pos)
         return int(value)
 
-    def one_var(self):
-        kind, value, pos = self.advance()
+    def name(self, what):
+        """Parse a `var`; returns (ident, subscripts, offset of the ident)."""
+        kind, base, pos = self.advance()
         if kind != "ident":
-            raise ParseError("expected a variable name", pos)
+            raise ParseError(f"expected {what}", pos)
         subs = ()
         if self.accept_sym("_"):
-            kind, value2, pos2 = self.advance()
-            if kind != "sym" or value2 != "(":
-                raise ParseError("expected '('", pos2)
-            out = [self.expect_nat()]
+            self.expect_sym("(")
+            subs = [self.expect_nat()]
             while self.accept_sym(","):
-                out.append(self.expect_nat())
-            kind, value2, pos2 = self.advance()
-            if kind != "sym" or value2 != ")":
-                raise ParseError("expected ')'", pos2)
-            subs = tuple(out)
-        return value, subs, pos
+                subs.append(self.expect_nat())
+            self.expect_sym(")")
+            subs = tuple(subs)
+        return base, subs, pos
 
-    def parse(self):
-        result = []
-        while True:
-            base, subs, pos = self.one_var()
-            if self.peek()[0] == "dots":
-                self.advance()
-                base2, subs2, _ = self.one_var()
-                result.extend(self._expand_range(base, subs, base2, subs2, pos))
-            else:
-                result.append(Variable(base, subs))
-            if not self.accept_sym(","):
-                break
+    def expect_end(self):
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
-        return result
 
-    @staticmethod
-    def _expand_range(base, subs, base2, subs2, pos):
-        if subs or subs2:
-            if base != base2:
-                raise ParseError("subscript range needs matching base names", pos)
-            if len(subs) != len(subs2) or not subs:
-                raise ParseError("subscript range needs tuples of equal length", pos)
-            if any(lo > hi for lo, hi in zip(subs, subs2)):
-                raise ParseError("empty subscript range", pos)
-            axes = [range(lo, hi + 1) for lo, hi in zip(subs, subs2)]
-            return [Variable(base, t) for t in itertools.product(*axes)]
-        if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
-            raise ParseError("letter range needs single letters in order", pos)
-        return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]
+
+def parse_poly(text, ring):
+    """Parse `text` as a polynomial in `ring`.
+
+    Raises ParseError (with a position) on bad syntax or unknown variables.
+    """
+    cur = _Cursor(text)
+    terms = []
+    negate = cur.accept_sym("-")
+    while True:
+        mono, coeff = _term(cur, ring)
+        terms.append((mono, -coeff if negate else coeff))
+        if cur.accept_sym("+"):
+            negate = False
+        elif cur.accept_sym("-"):
+            negate = True
+        else:
+            break
+    cur.expect_end()
+    return Poly(ring, terms)
+
+
+def _term(cur, ring):
+    kind, _, pos = cur.peek()
+    coeff = Fraction(1)
+    exps = {}
+    if kind == "int":
+        coeff = _coeff(cur)
+    elif kind == "ident":
+        _factor(cur, ring, exps)
+    else:
+        raise ParseError("expected a coefficient or a variable", pos)
+    while cur.accept_sym("*"):
+        _factor(cur, ring, exps)
+    return Monomial(exps), coeff
+
+
+def _coeff(cur):
+    num = cur.expect_nat()
+    if not cur.accept_sym("/"):
+        return Fraction(num)
+    pos = cur.peek()[2]
+    den = cur.expect_nat("a denominator")
+    if den == 0:
+        raise ParseError("zero denominator", pos)
+    return Fraction(num, den)
+
+
+def _factor(cur, ring, exps):
+    base, subs, pos = cur.name("a variable")
+    name = _subscripted(base, subs)
+    i = ring._by_name.get(name)
+    if i is None:
+        raise ParseError(f"unknown variable {name}", pos)
+    e = cur.expect_nat() if cur.accept_sym("^") else 1
+    exps[i] = exps.get(i, 0) + e
 
 
 def parse_variables(text):
     """Parse a comma-separated variable list, expanding `..` ranges."""
-    return _VarListParser(text).parse()
+    cur = _Cursor(text)
+    result = []
+    while True:
+        base, subs, pos = cur.name("a variable name")
+        if cur.accept_sym(".."):
+            base2, subs2, _ = cur.name("a variable name")
+            result.extend(_expand_range(base, subs, base2, subs2, pos))
+        else:
+            result.append(Variable(base, subs))
+        if not cur.accept_sym(","):
+            break
+    cur.expect_end()
+    return result
+
+
+def _expand_range(base, subs, base2, subs2, pos):
+    if subs or subs2:
+        if base != base2:
+            raise ParseError("subscript range needs matching base names", pos)
+        if len(subs) != len(subs2) or not subs:
+            raise ParseError("subscript range needs tuples of equal length", pos)
+        if any(lo > hi for lo, hi in zip(subs, subs2)):
+            raise ParseError("empty subscript range", pos)
+        axes = [range(lo, hi + 1) for lo, hi in zip(subs, subs2)]
+        return [Variable(base, t) for t in itertools.product(*axes)]
+    if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
+        raise ParseError("letter range needs single letters in order", pos)
+    return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]

@@ -56,6 +56,30 @@ def dense_pow(a, k, nvars):
     return out
 
 
+def dense_term_key(ring, mono):
+    """The ring's monomial order on a dense exponent vector, block by block.
+
+    Blocks are compared from the last one; within a block by total degree,
+    then by the negated exponents read from the block's last variable.
+    """
+    exps = [0] * len(ring.variables)
+    for i, e in mono.exps:
+        exps[i] = e
+    key = []
+    for start, stop in reversed(list(_block_slices(ring))):
+        block = exps[start:stop]
+        key.append(sum(block))
+        key.append(tuple(-e for e in reversed(block)))
+    return tuple(key)
+
+
+def _block_slices(ring):
+    start = 0
+    for _, size in ring.blocks:
+        yield start, start + size
+        start += size
+
+
 def series_by_full_expansion(f, jr):
     """Taylor coefficients of f without truncated arithmetic.
 

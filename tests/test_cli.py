@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 
@@ -169,3 +171,94 @@ def test_cli_and_library_agree(xyz_ideal):
     from jetschemes import jets_ideal
     lines = run_script(JETS_SCRIPT).splitlines()[3:]
     assert lines == [str(g) for g in jets_ideal(2, xyz_ideal).generators]
+
+
+# One statement of each result kind, with the transcripts and JSON lines
+# printed before the text and JSON renderers were folded into one record.
+KINDS_SCRIPT = ("ring R = [x,y]; ideal I = x*y; graph G = a-b,b-c;"
+                " ring S = [x_(1,1)..x_(2,2)]; matrix M = generic(S,2,2);"
+                " chromatic G; chordal G; minimalprimes I; covers G;"
+                " jetsradical 1 I; jets 1 I; minors 2 M; graphjets 1 G;")
+
+KINDS_TEXT = [
+    "[1] ring R = QQ[x,y]",
+    "[2] ideal I = ideal(x*y)",
+    "[3] graph G = vertices a,b,c; edges a-b,b-c",
+    "[4] ring S = QQ[x_(1,1),x_(1,2),x_(2,1),x_(2,2)]",
+    "[5] matrix M = generic(S,2,2)",
+    "| x_(1,1) x_(2,1) |",
+    "| x_(1,2) x_(2,2) |",
+    "[6] chromatic G", "2",
+    "[7] chordal G", "true",
+    "[8] minimalprimes I", "(x)", "(y)",
+    "[9] covers G", "(b)", "(a,c)",
+    "[10] jetsradical 1 I", "y0*x1", "x0*y1", "x0*y0",
+    "[11] jets 1 I", "y0*x1+x0*y1", "x0*y0",
+    "[12] minors 2 M", "-x_(1,2)*x_(2,1)+x_(1,1)*x_(2,2)",
+    "[13] graphjets 1 G", "a0-b0", "a0-b1", "b0-c0", "b0-a1", "b0-c1", "c0-b1",
+]
+
+# no line for the matrix statement, one per command
+KINDS_JSON = [
+    '{"kind":"number","value":2}',
+    '{"kind":"bool","value":true}',
+    '{"kind":"primes","primes":[["x"],["y"]]}',
+    '{"covers":[["b"],["a","c"]],"kind":"covers"}',
+    '{"generators":["y0*x1","x0*y1","x0*y0"],"kind":"ideal","ring":["x0","y0","x1","y1"]}',
+    '{"generators":["y0*x1+x0*y1","x0*y0"],"kind":"ideal","ring":["x0","y0","x1","y1"]}',
+    '{"generators":["-x_(1,2)*x_(2,1)+x_(1,1)*x_(2,2)"],"kind":"ideal",'
+    '"ring":["x_(1,1)","x_(1,2)","x_(2,1)","x_(2,2)"]}',
+    '{"edges":[["a0","b0"],["a0","b1"],["b0","c0"],["b0","a1"],["b0","c1"],["c0","b1"]],'
+    '"kind":"graph","vertices":["a0","b0","c0","a1","b1","c1"]}',
+]
+
+
+def test_every_result_kind_as_text():
+    assert run_script(KINDS_SCRIPT).splitlines() == KINDS_TEXT
+
+
+def test_every_result_kind_as_json():
+    assert run_script(KINDS_SCRIPT, json_mode=True).splitlines() == KINDS_JSON
+
+
+def test_emit_json_of_a_jet_ideal():
+    from jetschemes import Ideal, emit_json, jets_ideal, parse_poly, parse_variables, ring_make
+    ring = ring_make(parse_variables("x,y"))
+    jets = jets_ideal(1, Ideal(ring, [parse_poly("x^2-1/2*y", ring)]))
+    assert emit_json(jets) == ('{"generators":["2*x0*x1-1/2*y1","x0^2-1/2*y0"],'
+                               '"kind":"ideal","ring":["x0","y0","x1","y1"]}')
+
+
+FUZZ_STATEMENTS = ("ring R = [x,y_(1)..y_(2)]", "ideal I = x*y_(1), y_(2)^2",
+                   "ideal J = jets 1 I", "ideal K = jetsradical 1 I", "jets 2 I",
+                   "minimalprimes K", "graph G = vertices a,b,c\na-b,b-c",
+                   "graph H = graphjets 1 G", "graph C = complement H", "covers H",
+                   "chordal C", "chromatic H", "matrix M = generic(R,1,2)", "minors 1 M",
+                   "ideal L = 1/2*x^2-y_(2)", "jets 1 L")
+FUZZ_TOKENS = ("ring", "ideal", "graph", "jets", "chromatic", "R", "I", "G", "x", "y",
+               "0", "3", "=", ";", ",", "*", "^", "_", "(", ")", "[", "]", "..", "-",
+               "/", "\n", "$", "")
+
+
+def test_random_token_scripts_raise_only_parse_or_value_errors():
+    # the statements in order, some dropped, with seeded token edits, so
+    # errors come from every depth of a script
+    rng = random.Random(20261018)
+    statements = [re.findall(r"\w+|\.\.|\n|\S", s) for s in FUZZ_STATEMENTS]
+    for case in range(2000):
+        words = []
+        for stmt in statements:
+            if stmt is not statements[0] and rng.random() < 0.2:
+                continue
+            for word in stmt:
+                if rng.random() < 0.02:
+                    word = rng.choice(FUZZ_TOKENS)
+                words.append(word)
+            words.append(";")
+        text = " ".join(words)
+        try:
+            run_script(text, json_mode=case % 2 == 1)
+        except ParseError as e:
+            assert 0 <= e.pos <= len(text), text
+        except ValueError:
+            pass

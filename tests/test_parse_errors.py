@@ -1,0 +1,87 @@
+"""Every ParseError site of the two text grammars, pinned by message and offset.
+
+The polynomial grammar and the variable-list grammar share one token
+cursor; these rows hold their messages and 0-based offsets fixed.  The
+`run_script` rows check that ring, ideal and graph bodies report offsets
+into the whole script.
+"""
+
+import pytest
+
+from jetschemes import ParseError, parse_poly, parse_variables, ring_make
+from jetschemes.cli import run_script
+
+POLY_ERRORS = [
+    ("x + $", "unexpected character '$'", 4),
+    ("x_(1 y", "expected ')'", 5),
+    ("x_1", "expected '('", 2),
+    ("x_(a)", "expected a natural number", 3),
+    ("x_(1,", "expected a natural number", 5),
+    ("x^y", "expected a natural number", 2),
+    ("x^", "expected a natural number", 2),
+    ("x y", "unexpected 'y'", 2),
+    ("x..", "unexpected '..'", 1),
+    ("x + * y", "expected a coefficient or a variable", 4),
+    ("", "expected a coefficient or a variable", 0),
+    ("-", "expected a coefficient or a variable", 1),
+    ("(x)", "expected a coefficient or a variable", 0),
+    ("2/", "expected a denominator", 2),
+    ("2/x", "expected a denominator", 2),
+    ("2/0", "zero denominator", 2),
+    ("2*3", "expected a variable", 2),
+    ("x*", "expected a variable", 2),
+    ("w", "unknown variable w", 0),
+    ("y*x_(2,2)", "unknown variable x_(2,2)", 2),
+]
+
+VARIABLE_ERRORS = [
+    ("x,$", "unexpected character '$'", 2),
+    ("x.y", "unexpected character '.'", 1),
+    ("1", "expected a variable name", 0),
+    ("", "expected a variable name", 0),
+    ("x,", "expected a variable name", 2),
+    ("x..", "expected a variable name", 3),
+    ("x_1", "expected '('", 2),
+    ("x_(1,2", "expected ')'", 6),
+    ("x_(a)", "expected a natural number", 3),
+    ("x y", "unexpected 'y'", 2),
+    ("x_(1)..y_(2)", "subscript range needs matching base names", 0),
+    ("x_(1)..x_(1,2)", "subscript range needs tuples of equal length", 0),
+    ("a,x..x_(1)", "subscript range needs tuples of equal length", 2),
+    ("x_(2)..x_(1)", "empty subscript range", 0),
+    ("x_(1,2)..x_(2,1)", "empty subscript range", 0),
+    ("ab..c", "letter range needs single letters in order", 0),
+    ("c..a", "letter range needs single letters in order", 0),
+]
+
+SCRIPT_ERRORS = [
+    ("ring R = [x, $];", "unexpected character '$'", 13),
+    ("ring R = [a..c,x_(1,1)..x_(1,a)];", "expected a natural number", 29),
+    ("ring R = [x,y]; ideal I = x, y*$;", "unexpected character '$'", 31),
+    ("ring R = [x,y];\nideal I = x_(1), y;", "unknown variable x_(1)", 26),
+    ("ring R = [x,y]; ideal I = x*y, (x+y);", "expected a coefficient or a variable", 31),
+    ("graph G = a-b, c;", "bad edge 'c', expected NAME-NAME", 10),
+    ("graph G = vertices a\na-b;", "edge uses undeclared vertex b", 10),
+    ("ring R = [x]; ideal I = x; ideal J = jets x I;", "malformed command", 37),
+    ("ring R = [x]; ideal I = x; jets 1 I; jets I;", "malformed command", 37),
+    ("ring R = [x]; ideal I = x; foo I;", "unknown statement 'foo'", 27),
+    ("ring R = x;", "malformed ring statement", 0),
+    ("matrix M = generic(R);", "malformed matrix statement", 0),
+    ("ring R = [x]", "missing ';' after statement", 0),
+]
+
+
+_RING = ring_make(parse_variables("x,y,z,x_(1,1),x_(1,2)"))
+PARSERS = {"poly": lambda text: parse_poly(text, _RING),
+           "variables": parse_variables,
+           "script": run_script}
+ROWS = ([("poly",) + row for row in POLY_ERRORS]
+        + [("variables",) + row for row in VARIABLE_ERRORS]
+        + [("script",) + row for row in SCRIPT_ERRORS])
+
+
+@pytest.mark.parametrize("grammar, text, message, pos", ROWS)
+def test_parse_error_message_and_offset(grammar, text, message, pos):
+    with pytest.raises(ParseError) as err:
+        PARSERS[grammar](text)
+    assert (err.value.message, err.value.pos) == (message, pos)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from jetschemes import (Ideal, Monomial, ParseError, Poly, Variable,
-                        is_homogeneous, parse_poly, parse_variables, ring_make)
+from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
+                        is_homogeneous, jet_ring, parse_poly, parse_variables,
+                        ring_make, term_key)
 
-from oracles import dense_from_poly, dense_mul, random_poly
+from oracles import dense_from_poly, dense_mul, dense_term_key, random_poly
 
 
 def test_ring_make_three_variables(xyz_ring):
@@ -184,3 +185,36 @@ def test_ideal_generator_ring_checked(xyz_ring):
     other = ring_make(parse_variables("u"))
     with pytest.raises(ValueError):
         Ideal(xyz_ring, [other.var("u")])
+
+
+def _random_monomial(rng, nvars):
+    support = rng.sample(range(nvars), rng.randint(0, min(nvars, 5)))
+    return Monomial((i, rng.randint(1, 3)) for i in support)
+
+
+def test_term_key_sorts_like_the_dense_key():
+    rng = random.Random(20261018)
+    plain = [ring_make(parse_variables(names)) for names in ("x", "x,y,z", "a..h")]
+    jets = [jet_ring(ring, s).ring for ring in plain[:2] for s in range(6)]
+    mixed = [PolyRing([Variable(ch) for ch in "abcdefg"], blocks)
+             for blocks in (((None, 2), (1, 3), (2, 2)), ((0, 1), (1, 5), (2, 1)),
+                            ((None, 7),), ((0, 3), (1, 4)))]
+    for ring in plain + jets + mixed:
+        n = len(ring.variables)
+        monos = list({_random_monomial(rng, n) for _ in range(60)}) + [Monomial()]
+        rng.shuffle(monos)
+        assert (sorted(monos, key=lambda m: term_key(ring, m))
+                == sorted(monos, key=lambda m: dense_term_key(ring, m)))
+        for m1, m2 in zip(monos, monos[1:]):
+            assert ((term_key(ring, m1) < term_key(ring, m2))
+                    == (dense_term_key(ring, m1) < dense_term_key(ring, m2)))
+
+
+def test_variable_name_is_cached_without_changing_identity():
+    v = Variable("x", (1, 2), 3)
+    assert v.name == "x3_(1,2)" and v.name is v.name
+    w = Variable("x", (1, 2), 3)
+    assert v == w and hash(v) == hash(w) and repr(v) == "Variable('x3_(1,2)')"
+    w.name
+    assert v == w and hash(v) == hash(w)
+    assert v != Variable("x", (1, 2)) and Variable("x", (1, 2)).name == "x_(1,2)"
