@@ -27,21 +27,20 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .poly import Ideal, ParseError, PolyRing, monomial_str, parse_poly, parse_variables
+from .poly import _IDENT, Ideal, ParseError, PolyRing, monomial_str, parse_poly, parse_variables
 from .jets import JetIdeal, jets_ideal
 from .monomial import MonomialIdeal, jets_radical, minimal_primes_squarefree
 from .graphs import Graph, chromatic_number, complement_graph, is_chordal, \
     jets_graph, minimal_vertex_covers, parse_graph_text
 from .matrices import GenericMatrix, generic_matrix, minors
 
-_NAME = r"[A-Za-z][A-Za-z0-9]*"
-_RING_RE = re.compile(rf"ring\s+({_NAME})\s*=\s*\[(.*)\]\s*$", re.S)
-_BINDING_RE = re.compile(rf"(ideal|graph)\s+({_NAME})\s*=\s*(.*)$", re.S)
+_RING_RE = re.compile(rf"ring\s+({_IDENT})\s*=\s*\[(.*)\]\s*$", re.S)
+_BINDING_RE = re.compile(rf"(ideal|graph)\s+({_IDENT})\s*=\s*(.*)$", re.S)
 _MATRIX_RE = re.compile(
-    rf"matrix\s+({_NAME})\s*=\s*generic\s*\(\s*({_NAME})\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$",
+    rf"matrix\s+({_IDENT})\s*=\s*generic\s*\(\s*({_IDENT})\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$",
     re.S)
-_CMD_NAT_RE = re.compile(rf"(jets|jetsradical|graphjets|minors)\s+(\d+)\s+({_NAME})\s*$")
-_CMD_RE = re.compile(rf"(minimalprimes|chromatic|covers|complement|chordal)\s+({_NAME})\s*$")
+_CMD_NAT_RE = re.compile(rf"(jets|jetsradical|graphjets|minors)\s+(\d+)\s+({_IDENT})\s*$")
+_CMD_RE = re.compile(rf"(minimalprimes|chromatic|covers|complement|chordal)\s+({_IDENT})\s*$")
 
 _COMMANDS = ("jets", "jetsradical", "graphjets", "minors",
              "minimalprimes", "chromatic", "covers", "complement", "chordal")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .poly import Monomial, ParseError, PolyRing, Variable
+from .poly import _IDENT, Monomial, ParseError, PolyRing, Variable
 from .monomial import MonomialIdeal, _minimal_masks, jets_radical, minimal_transversals
 
 
@@ -39,7 +39,7 @@ class _Vertices:
 class Graph(_Vertices):
     """A finite simple graph; vertices are Variables, edges unordered pairs."""
 
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "adj")
 
     def __init__(self, vertices, edges):
         super().__init__(vertices)
@@ -48,19 +48,17 @@ class Graph(_Vertices):
             i, j = self._resolve(u), self._resolve(v)
             if i == j:
                 raise ValueError(f"loop at vertex {self.vertices[i].name}")
-            pairs.add((min(i, j), max(i, j)))
+            pairs.add((i, j) if i < j else (j, i))
         self.edges = tuple(sorted(pairs))
+        adj = [0] * len(self.vertices)
+        for i, j in self.edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.adj = tuple(adj)  # bit j of adj[i] is set iff i-j is an edge
 
     def edge_pairs(self):
         """Edges as pairs of Variables, in canonical order."""
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edges]
-
-    def adjacency(self):
-        adj = [set() for _ in self.vertices]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.vertices == other.vertices
@@ -145,10 +143,9 @@ def jets_hypergraph(s, H):
 
 
 def complement_graph(G):
-    n = len(G.vertices)
-    present = set(G.edges)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if (i, j) not in present]
+    adj = G.adj
+    n = len(adj)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
     return Graph(G.vertices, edges)
 
 
@@ -157,30 +154,27 @@ def is_chordal(G):
 
     MCS visits vertices by descending count of visited neighbors; the
     reverse of the visit order is a perfect elimination ordering iff the
-    graph is chordal, which the second pass checks directly.
+    graph is chordal.  It is one iff, as each vertex is visited, its
+    visited neighbors other than the last visited one are all adjacent
+    to that one, so the search checks this as it goes.
     """
-    n = len(G.vertices)
-    adj = G.adjacency()
+    adj = G.adj
+    n = len(adj)
     weight = [0] * n
-    visited = [False] * n
-    mcs = []
+    latest = [0] * n  # the last visited neighbor; read only once there is one
+    unvisited = list(range(n))
+    seen = 0
     for _ in range(n):
-        v = max((i for i in range(n) if not visited[i]),
-                key=lambda i: (weight[i], -i))
-        visited[v] = True
-        mcs.append(v)
-        for u in adj[v]:
-            if not visited[u]:
-                weight[u] += 1
-    order = mcs[::-1]
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        parent = min(later, key=lambda u: pos[u])
-        if any(u != parent and u not in adj[parent] for u in later):
+        v = max(unvisited, key=weight.__getitem__)  # the lowest index on ties
+        unvisited.remove(v)
+        u = latest[v]
+        if adj[v] & seen & ~(adj[u] | 1 << u):
             return False
+        seen |= 1 << v
+        for w in unvisited:
+            if adj[v] >> w & 1:
+                weight[w] += 1
+                latest[w] = v
     return True
 
 
@@ -189,7 +183,8 @@ def chromatic_number(G, max_vertices=32):
 
     k runs from a greedy clique lower bound up to a greedy coloring upper
     bound; each candidate k is decided by backtracking with new colors
-    introduced at most one at a time.
+    introduced at most one at a time.  Cliques and color classes are
+    vertex masks.
     """
     n = len(G.vertices)
     if n > max_vertices:
@@ -198,48 +193,46 @@ def chromatic_number(G, max_vertices=32):
         return 0
     if not G.edges:
         return 1
-    adj = G.adjacency()
-    by_degree = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    adj = G.adj
+    by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
 
-    clique = []
+    clique = 0
     for v in by_degree:
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-    lower = len(clique)
+        if not clique & ~adj[v]:
+            clique |= 1 << v
+    lower = clique.bit_count()
 
-    greedy = {}
+    classes = []
     for v in by_degree:
-        used = {greedy[u] for u in adj[v] if u in greedy}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    upper = max(greedy.values()) + 1
+        for c, members in enumerate(classes):
+            if not members & adj[v]:
+                classes[c] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    upper = len(classes)
 
     for k in range(lower, upper):
-        if _colorable(adj, by_degree, k):
+        if _colorable(adj, by_degree, [0] * k, 0):
             return k
     return upper
 
 
-def _colorable(adj, order, k):
-    n = len(order)
-    color = {}
-
-    def backtrack(pos, used):
-        if pos == n:
-            return True
-        v = order[pos]
-        banned = {color[u] for u in adj[v] if u in color}
-        for c in range(min(used + 1, k)):
-            if c not in banned:
-                color[v] = c
-                if backtrack(pos + 1, max(used, c + 1)):
-                    return True
-                del color[v]
-        return False
-
-    return backtrack(0, 0)
+def _colorable(adj, order, classes, pos):
+    """Whether the k color classes (masks; empty ones last) of order[:pos]
+    extend to all of `order`; each vertex opens at most the first empty one."""
+    if pos == len(order):
+        return True
+    v = order[pos]
+    for c, members in enumerate(classes):
+        if not members & adj[v]:
+            classes[c] = members | 1 << v
+            if _colorable(adj, order, classes, pos + 1):
+                return True
+            classes[c] = members
+            if not members:
+                break
+    return False
 
 
 def minimal_vertex_covers(G):
@@ -252,7 +245,7 @@ def minimal_vertex_covers(G):
     return [tuple(G.vertices[i] for i in sorted(c)) for c in covers]
 
 
-_EDGE_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*-\s*([A-Za-z][A-Za-z0-9]*)\s*$")
+_EDGE_RE = re.compile(rf"\s*({_IDENT})\s*-\s*({_IDENT})\s*$")
 
 
 def parse_graph_text(text):
@@ -286,6 +279,8 @@ def parse_graph_text(text):
                 seen.add(name)
                 names.append(name)
         edges.append((u, w))
+    if not names:
+        raise ValueError("empty graph")
     vertices = [Variable(name) for name in names]
     by_name = {v.name: v for v in vertices}
     return Graph(vertices, [(by_name[u], by_name[w]) for u, w in edges])

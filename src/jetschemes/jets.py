@@ -64,8 +64,7 @@ def jet_ring(base, s):
     blocks = tuple((j, n) for j in range(s + 1))
     weights = tuple(j for j in range(s + 1) for _ in range(n))
     ring = PolyRing(variables, blocks, weights)
-    jet_vars = {v: tuple(Variable(v.base, v.subscripts, j) for j in range(s + 1))
-                for v in base.variables}
+    jet_vars = {v: ring.variables[k::n] for k, v in enumerate(base.variables)}
     return JetRing(base, s, ring, jet_vars)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names, binding names and graph vertices
+_IDENT_RE = re.compile(_IDENT)
 
 
 class ParseError(ValueError):
@@ -465,7 +466,7 @@ class Ideal:
 # of subscript tuples enumerated with the last coordinate varying fastest).
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
+_TOKEN_RE = re.compile(rf"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>{_IDENT})"
                        r"|(?P<sym>\.\.|[-+*/^_(),])|(?P<bad>.)", re.S)
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -174,6 +175,18 @@ def test_chordal_matches_networkx(demo_graph):
         assert is_chordal(G) == nx.is_chordal(H)
 
 
+def test_graph_adjacency_masks():
+    a, b, c, d = (Variable(ch) for ch in "abcd")
+    G = Graph([a, b, c, d], [(c, b), (a, b), (b, c)])
+    assert G.adj == (0b0010, 0b0101, 0b0010, 0b0000)
+    rng = random.Random(20404)
+    for _ in range(20):
+        G = random_graph(rng, rng.randint(0, 10))
+        for i in range(len(G.vertices)):
+            assert {j for j in range(len(G.vertices)) if G.adj[i] >> j & 1} == \
+                {j for e in G.edges if i in e for j in e if j != i}
+
+
 def test_complement_graph():
     a, b, c = (Variable(ch) for ch in "abc")
     G = Graph([a, b, c], [(a, b)])
@@ -201,9 +214,30 @@ def test_chromatic_complete():
 
 def test_chromatic_matches_brute_force():
     rng = random.Random(20403)
-    for _ in range(25):
-        G = random_graph(rng, rng.randint(1, 6))
+    graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(25)]
+    # the crown graph on a1,b1,..,a4,b4 (ai-bj for i != j) is bipartite, but
+    # greedy coloring in vertex order needs 4 colors; the isolated vertex
+    # makes a greedy independent set larger than the chromatic number
+    vs = [Variable(ch) for ch in "abcdefghi"]
+    graphs.append(Graph(vs, [(vs[2 * i], vs[2 * j + 1])
+                             for i in range(4) for j in range(4) if i != j]))
+    for G in graphs:
         assert chromatic_number(G) == brute_chromatic(len(G.vertices), G.edges)
+
+
+def test_chromatic_leaves_no_garbage_cycles():
+    vs = [Variable(ch) for ch in "abcde"]
+    C5 = Graph(vs, [(vs[i], vs[(i + 1) % 5]) for i in range(5)])
+    # both need the k-colorability search: the bounds are 2 and 3, the answer 3
+    graphs = [C5, jets_graph(1, C5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for G in graphs:
+            assert chromatic_number(G) == 3
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chromatic_size_bound(demo_graph):

@@ -35,6 +35,17 @@ def test_jet_ring_subscripted():
     assert names[-1] == "x1_(3,3)"
 
 
+def test_jet_vars_are_the_ring_variables():
+    R = ring_make(parse_variables("x_(1,1)..x_(2,2),y"))
+    n = len(R.variables)
+    jr = jet_ring(R, 3)
+    for k, v in enumerate(R.variables):
+        assert len(jr.jet_vars[v]) == 4
+        for j in range(4):
+            # the ring's own objects, not equal copies
+            assert jr.jet_vars[v][j] is jr.ring.variables[j * n + k]
+
+
 def test_jet_ring_rejects_jet_ring(xyz_ring):
     J = jet_ring(xyz_ring, 1)
     with pytest.raises(ValueError, match="iterated jets"):

@@ -62,6 +62,8 @@ SCRIPT_ERRORS = [
     ("ring R = [x,y]; ideal I = x*y, (x+y);", "expected a coefficient or a variable", 31),
     ("graph G = a-b, c;", "bad edge 'c', expected NAME-NAME", 10),
     ("graph G = vertices a\na-b;", "edge uses undeclared vertex b", 10),
+    ("graph G = ;", "empty graph", 9),
+    ("ring R = [x]; graph G = \n , ;", "empty graph", 26),
     ("ring R = [x]; ideal I = x; ideal J = jets x I;", "malformed command", 37),
     ("ring R = [x]; ideal I = x; jets 1 I; jets I;", "malformed command", 37),
     ("ring R = [x]; ideal I = x; foo I;", "unknown statement 'foo'", 27),
