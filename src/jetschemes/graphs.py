@@ -3,7 +3,10 @@
 A graph on named vertices corresponds to the squarefree quadratic ideal
 with one generator per edge.  The radical of the jets of that ideal is
 again squarefree and quadratic, and the graph it encodes is the jets of
-the original graph: each vertex v acquires copies v0..vs.
+the original graph: each vertex v acquires copies v0..vs, and by the
+closed form in `monomial`, u_a and v_b are adjacent iff uv is an edge and
+a + b <= s.  Jets of graphs and hypergraphs are built from that closed
+form on vertex indices, without going through an ideal.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import re
 
 from .poly import _IDENT, Monomial, ParseError, PolyRing, Variable
-from .monomial import MonomialIdeal, _minimal_masks, jets_radical, minimal_transversals
+from .jets import jet_ring
+from .monomial import MonomialIdeal, _jet_supports, _minimal_masks, minimal_transversals
 
 
 class _Vertices:
@@ -111,35 +115,32 @@ def edge_ideal(G):
     return MonomialIdeal(ring, gens)
 
 
-def graph_from_edge_ideal(I, vertices=None):
+def graph_from_edge_ideal(I):
     """The graph whose edges are the generators of a quadratic squarefree ideal."""
     if not I.squarefree:
         raise ValueError("edge ideal must be squarefree")
-    verts = tuple(vertices) if vertices is not None else I.ring.variables
-    name_to_vertex = {v.name: v for v in verts}
-    edges = []
     for m in I.generators:
         if m.degree() != 2:
             raise ValueError(f"generator of degree {m.degree()}, expected 2")
-        u, w = (I.ring.variables[i] for i in m.support())
-        try:
-            edges.append((name_to_vertex[u.name], name_to_vertex[w.name]))
-        except KeyError:
-            raise ValueError("generator mentions a variable outside the vertex list") from None
-    return Graph(verts, edges)
+    return Graph(I.ring.variables, [m.support() for m in I.generators])
+
+
+def _jet_edges(s, G):
+    """The jet vertices and the jet index tuples of every edge of G."""
+    vertices = jet_ring(PolyRing(G.vertices), s).ring.variables
+    n = len(G.vertices)
+    return vertices, [idx for edge in G.edges
+                      for idx in _jet_supports([(i, 1) for i in edge], s, n)]
 
 
 def jets_graph(s, G):
     """The order-s jets of a graph, on vertices v0..vs for each vertex v."""
-    rad = jets_radical(s, edge_ideal(G))
-    return graph_from_edge_ideal(rad)
+    return Graph(*_jet_edges(s, G))
 
 
 def jets_hypergraph(s, H):
-    """The order-s jets of a hypergraph: supports of the jets radical."""
-    rad = jets_radical(s, edge_ideal(H))
-    ring = rad.ring
-    return HyperGraph(ring.variables, [m.support() for m in rad.generators])
+    """The order-s jets of a hypergraph, kept inclusion-minimal."""
+    return HyperGraph(*_jet_edges(s, H))
 
 
 def complement_graph(G):

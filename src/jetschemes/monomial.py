@@ -1,10 +1,14 @@
 """Monomial-ideal combinatorics.
 
-The radical of the jets of a monomial ideal is generated by the terms of
-the jet equations, so it can be computed without any radical machinery:
-collect the terms, pass to squarefree supports, and minimalize.  Minimal
-primes of a squarefree monomial ideal are read off as minimal vertex
-covers of the hypergraph of generator supports.
+The radical of the jets of a monomial ideal has a closed form (Goward
+and Smith, Comm. Algebra 2006): the radical of the s-jets of (x^e) is
+generated by the products x_{1,a_1}...x_{r,a_r} with sum e_i a_i <= s.
+Each such product is the support of a term of the t^j coefficient of the
+expansion, j = sum e_i a_i; and in any term of that coefficient the
+smallest orders m_i of the x_i have sum e_i m_i <= j, so its support
+contains one of the products.  No series is expanded.  Minimal primes
+of a squarefree monomial ideal are read off as minimal vertex covers of
+the hypergraph of generator supports.
 
 Monomials and index sets are minimalized as int bitmasks by a single
 kernel, `_minimal_masks`.  A monomial is written in unary: exponent e of
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Ideal, Monomial, Poly, term_key
-from .jets import jets_ideal
+from .jets import jet_ring
 
 
 class MonomialIdeal:
@@ -94,20 +98,28 @@ def is_monomial_ideal(I):
     return all(f.is_term() for f in I.generators)
 
 
-def jets_radical(s, I):
-    """Radical of the ideal of s-jets of a monomial ideal.
+def _jet_supports(exps, s, n):
+    """The order vectors a with sum e_i a_i <= s of the monomial with
+    sparse exponents `exps`, each as the sorted tuple of its jet indices
+    a_i*n + i."""
+    partial = [((), s)]   # (jet indices so far, weight left)
+    for i, e in exps:
+        partial = [(idx + (a * n + i,), left - a * e)
+                   for idx, left in partial for a in range(left // e + 1)]
+    return [tuple(sorted(idx)) for idx, _ in partial]
 
-    Every term of every jet equation generates the radical; coefficients
-    are irrelevant over a field, and replacing each term by its squarefree
-    support is radical-safe for non-squarefree inputs.
-    """
+
+def jets_radical(s, I):
+    """Radical of the ideal of s-jets of a monomial ideal, by the closed
+    form of the module docstring, in canonical term order, largest first."""
     if isinstance(I, MonomialIdeal):
         I = I.to_ideal()
     if not is_monomial_ideal(I):
         raise ValueError("jets_radical needs a monomial ideal")
-    ji = jets_ideal(s, I)
-    supports = {m.squarefree_part() for g in ji.generators for m in g._terms}
-    ring = ji.ring.ring
+    ring = jet_ring(I.ring, s).ring
+    n = len(I.ring.variables)
+    supports = {Monomial._trusted(tuple((k, 1) for k in idx)) for f in I.generators
+                for m in f._terms for idx in _jet_supports(m.exps, s, n)}
     return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
                                       reverse=True))
 

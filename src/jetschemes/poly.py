@@ -212,9 +212,6 @@ class Monomial:
     def is_squarefree(self):
         return all(e == 1 for _, e in self.exps)
 
-    def squarefree_part(self):
-        return Monomial((i, 1) for i, _ in self.exps)
-
     def divides(self, other):
         it = dict(other.exps)
         return all(it.get(i, 0) >= e for i, e in self.exps)

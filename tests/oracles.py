@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to compute expected test values.
 
-Everything here deliberately avoids the library's sparse-monomial code
+Everything here, except the term-collection reference for jets of
+monomial ideals, deliberately avoids the library's sparse-monomial code
 paths: polynomials are dense exponent-tuple dicts, covers come from a
 full subset scan, determinants from the permutation sum, chordality from
 induced-cycle enumeration, and colorings from exhaustive assignment.
@@ -9,7 +10,9 @@ induced-cycle enumeration, and colorings from exhaustive assignment.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from jetschemes import Graph, Monomial, MonomialIdeal, Poly, Variable
+from jetschemes import (Graph, HyperGraph, Ideal, Monomial, MonomialIdeal, Poly,
+                        Variable, edge_ideal, graph_from_edge_ideal, jets_ideal,
+                        term_key)
 
 
 # --- dense-exponent polynomial arithmetic -----------------------------------
@@ -137,6 +140,35 @@ def goward_smith_jets_edges(G, s):
             for a in range(s + 1) for b in range(s + 1 - a)}
 
 
+def jets_radical_by_terms(s, I):
+    """Radical of the s-jets of a monomial ideal, by term collection.
+
+    Expands every generator with `jets_ideal`, keeps the squarefree
+    support of every term of every coefficient, and minimalizes them in
+    descending term order.  Coefficients play no part over a field, and
+    passing to supports is radical-safe.
+    """
+    if isinstance(I, MonomialIdeal):
+        I = I.to_ideal()
+    ji = jets_ideal(s, I)
+    ring = ji.ring.ring
+    supports = {Monomial((i, 1) for i, _ in m.exps)
+                for g in ji.generators for m in g._terms}
+    return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
+                                      reverse=True))
+
+
+def jets_graph_by_terms(s, G):
+    """The jets of a graph through its edge ideal and term collection."""
+    return graph_from_edge_ideal(jets_radical_by_terms(s, edge_ideal(G)))
+
+
+def jets_hypergraph_by_terms(s, H):
+    """The jets of a hypergraph through its edge ideal and term collection."""
+    rad = jets_radical_by_terms(s, edge_ideal(H))
+    return HyperGraph(rad.ring.variables, [m.support() for m in rad.generators])
+
+
 def intersect_variable_primes(ring, primes):
     """Generator supports of the intersection of variable-generated primes.
 
@@ -231,6 +263,26 @@ def random_graph(rng, n, p=0.45):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return Graph(vertices, edges)
+
+
+def random_monomial_ideal(rng, ring, max_exp=4, max_gens=3):
+    """An Ideal of single terms with random nonzero coefficients.
+
+    A generator may repeat an earlier one, or be a constant (the unit
+    ideal).
+    """
+    n = len(ring.variables)
+    gens = []
+    for _ in range(rng.randint(1, max_gens)):
+        if gens and rng.random() < 0.2:
+            mono = next(iter(rng.choice(gens)._terms))
+        else:
+            size = 0 if rng.random() < 0.1 else rng.randint(1, n)
+            support = rng.sample(range(n), size)
+            mono = Monomial((i, rng.randint(1, max_exp)) for i in support)
+        coef = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        gens.append(Poly(ring, {mono: coef}))
+    return Ideal(ring, gens)
 
 
 def random_squarefree_ideal(rng, ring, max_gens=4):

@@ -12,7 +12,7 @@ from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, Variable,
 
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
 from oracles import (brute_chromatic, chordal_by_induced_cycles, goward_smith_jets_edges,
-                     random_graph)
+                     jets_graph_by_terms, jets_hypergraph_by_terms, random_graph)
 
 
 def _edge_names(G):
@@ -133,6 +133,18 @@ def test_jets_hypergraph_edgeless():
     J = jets_hypergraph(2, H)
     assert len(J.vertices) == 6
     assert J.edges == ()
+
+
+def test_jets_graphs_match_term_collection():
+    rng = random.Random(60602)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        s = rng.randint(0, 3)
+        G = random_graph(rng, n)
+        assert jets_graph(s, G) == jets_graph_by_terms(s, G)
+        H = HyperGraph(G.vertices, [rng.sample(range(n), rng.randint(1, min(n, 3)))
+                                    for _ in range(rng.randint(0, 4))])
+        assert jets_hypergraph(s, H) == jets_hypergraph_by_terms(s, H)
 
 
 def test_cochordality_of_demo_jets(demo_graph):

@@ -1,14 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
-from jetschemes import (Ideal, Monomial, MonomialIdeal, is_monomial_ideal,
-                        jets_ideal, jets_radical, minimal_primes_squarefree,
-                        minimal_transversals, minimalize, monomial_str,
-                        parse_poly, parse_variables, ring_make, term_key)
+from jetschemes import (HyperGraph, Ideal, Monomial, MonomialIdeal, Variable,
+                        is_monomial_ideal, jets_graph, jets_hypergraph, jets_ideal,
+                        jets_radical, minimal_primes_squarefree, minimal_transversals,
+                        minimalize, monomial_str, parse_poly, parse_variables,
+                        ring_make, run_script, term_key)
 
 from expected import XYZ_JET2_MINIMAL_PRIMES, XYZ_JET2_RADICAL
 from oracles import (brute_minimal_covers, intersect_variable_primes,
+                     jets_radical_by_terms, random_monomial_ideal,
                      random_squarefree_ideal)
 
 
@@ -81,6 +84,67 @@ def test_jets_radical_rejects_non_monomial(xyz_ring):
     I = Ideal(xyz_ring, [parse_poly("x+y", xyz_ring)])
     with pytest.raises(ValueError, match="monomial"):
         jets_radical(1, I)
+
+
+def _as_monomial_ideal(I):
+    return MonomialIdeal(I.ring, [next(iter(f._terms)) for f in I.generators])
+
+
+def _assert_radical_by_terms(s, I):
+    for J in (I, _as_monomial_ideal(I)):
+        assert jets_radical(s, J) == jets_radical_by_terms(s, J)
+
+
+def test_jets_radical_matches_term_collection():
+    rng = random.Random(60601)
+    rings = [ring_make(parse_variables(names)) for names in ("x", "x,y", "x,y,z", "x,y,z,w")]
+    for _ in range(400):
+        ring = rng.choice(rings)
+        _assert_radical_by_terms(rng.randint(0, 5), random_monomial_ideal(rng, ring))
+
+
+@pytest.mark.parametrize("s", [0, 1, 3])
+@pytest.mark.parametrize("gens", [["1"], [], ["x^2*y", "-3*x^2*y", "x^2*y"],
+                                  ["x^2", "x*y"], ["x", "1/2"]],
+                         ids=["unit", "zero", "repeated", "overlapping", "constant"])
+def test_jets_radical_special_ideals_match_term_collection(s, gens):
+    R = ring_make(parse_variables("x,y"))
+    _assert_radical_by_terms(s, Ideal(R, [parse_poly(g, R) for g in gens]))
+
+
+def test_jets_radical_vanishes_exactly_on_arcs_of_high_order():
+    # the 0/1 point with x_{i,a} = 1 iff a >= o_i is the arc with ord x_i = o_i
+    # (x_i = 0 when o_i = s+1); it lies on the jet scheme iff every generator
+    # x^e of I has sum e_i o_i >= s+1
+    rng = random.Random(60603)
+    rings = [ring_make(parse_variables(names)) for names in ("x", "x,y", "x,y,z")]
+    for _ in range(60):
+        ring = rng.choice(rings)
+        I = random_monomial_ideal(rng, ring, max_exp=3)
+        s = rng.randint(0, 3)
+        rad = jets_radical(s, I)
+        base = {(v.base, v.subscripts): i for i, v in enumerate(ring.variables)}
+        jet = [(base[v.base, v.subscripts], v.jet_order) for v in rad.ring.variables]
+        exps = [next(iter(f._terms)).exps for f in I.generators]
+        for orders in product(range(s + 2), repeat=len(ring.variables)):
+            on_radical = all(any(jet[k][1] < orders[jet[k][0]] for k in m.support())
+                             for m in rad.generators)
+            on_jets = all(sum(e * orders[i] for i, e in ex) >= s + 1 for ex in exps)
+            assert on_radical == on_jets, (str(I), s, orders)
+
+
+def test_combinatorial_layer_expands_no_series(monkeypatch, xyz_ideal, demo_graph):
+    def refuse(*args):
+        raise AssertionError("series expanded")
+    monkeypatch.setattr("jetschemes.jets.series_substitute", refuse)
+    R = ring_make(parse_variables("x,y"))
+    jets_radical(3, xyz_ideal)
+    jets_radical(2, MonomialIdeal(R, [Monomial({0: 2, 1: 1})]))
+    jets_graph(2, demo_graph)
+    x, y, z = (Variable(ch) for ch in "xyz")
+    jets_hypergraph(2, HyperGraph([x, y, z], [(x, y, z), (x, z)]))
+    run_script("ring R = [x,y]; ideal I = x^2*y, y^3; jetsradical 2 I;"
+               "graph G = a-b, b-c; graph H = graphjets 2 G; covers H;")
 
 
 def test_jets_radical_matches_prime_intersection_oracle():
