@@ -242,8 +242,7 @@ def minimal_vertex_covers(G):
     Works for graphs and hypergraphs alike, and agrees with the minimal
     primes of the edge ideal.
     """
-    covers = minimal_transversals(G.edges)
-    return [tuple(G.vertices[i] for i in sorted(c)) for c in covers]
+    return [tuple(G.vertices[i] for i in sorted(c)) for c in minimal_transversals(G.edges)]
 
 
 _EDGE_RE = re.compile(rf"\s*({_IDENT})\s*-\s*({_IDENT})\s*$")

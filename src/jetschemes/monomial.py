@@ -6,22 +6,22 @@ generated by the products x_{1,a_1}...x_{r,a_r} with sum e_i a_i <= s.
 Each such product is the support of a term of the t^j coefficient of the
 expansion, j = sum e_i a_i; and in any term of that coefficient the
 smallest orders m_i of the x_i have sum e_i m_i <= j, so its support
-contains one of the products.  No series is expanded.  Minimal primes
-of a squarefree monomial ideal are read off as minimal vertex covers of
-the hypergraph of generator supports.
+contains one of the products.  No series is expanded.
 
-Monomials and index sets are minimalized as int bitmasks by a single
-kernel, `_minimal_masks`.  A monomial is written in unary: exponent e of
-variable i fills e bits of a field of width w, the largest exponent in
-the input, so divisibility becomes mask inclusion (a squarefree monomial
-is just its support mask).
+Minimal primes of a squarefree monomial ideal are the minimal vertex
+covers of the hypergraph of generator supports: `minimal_transversals`
+runs Berge on bitmasks, testing a grown cover only against the old
+covers through its new vertex.  `_minimal_masks` minimalizes generators
+and hyperedges; a monomial is written in unary (exponent e of variable i
+fills e bits of a field as wide as the largest exponent), so divisibility
+becomes mask inclusion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Ideal, Monomial, Poly, term_key
+from .poly import Ideal, Monomial, Poly, monomial_str, term_key
 from .jets import jet_ring
 
 
@@ -37,10 +37,8 @@ class MonomialIdeal:
     def __init__(self, ring, generators):
         self.ring = ring
         generators = tuple(generators)
-        nvars = len(ring.variables)
-        for m in generators:
-            if m.exps and m.exps[-1][0] >= nvars:
-                raise ValueError("monomial uses a variable outside the ring")
+        if any(m.exps and m.exps[-1][0] >= len(ring.variables) for m in generators):
+            raise ValueError("monomial uses a variable outside the ring")
         w = max((e for m in generators for _, e in m.exps), default=1)
         masks = [sum(((1 << e) - 1) << (i * w) for i, e in m.exps) for m in generators]
         kept = set(_minimal_masks(masks))
@@ -60,7 +58,6 @@ class MonomialIdeal:
         return len(self.generators)
 
     def __str__(self):
-        from .poly import monomial_str
         return "ideal(" + ",".join(monomial_str(self.ring, m)
                                    for m in self.generators) + ")"
 
@@ -68,16 +65,11 @@ class MonomialIdeal:
         return f"MonomialIdeal({self})"
 
 
-def _minimal_masks(masks, minimal=()):
-    """The inclusion-minimal ones among some int bitmasks, duplicates dropped.
-
-    Visiting the distinct masks by popcount puts every proper subset of a
-    mask before it, so a mask is kept iff no kept mask is a subset of it.
-    `minimal` seeds the kept list with distinct masks already known to be
-    minimal among them and `masks` together; they are kept as given, and
-    only `masks` is scanned.
-    """
-    kept = list(minimal)
+def _minimal_masks(masks):
+    """The inclusion-minimal ones among some int bitmasks, duplicates dropped:
+    visiting them by popcount puts every proper subset of a mask before it,
+    so a mask is kept iff no kept mask is a subset of it."""
+    kept = []
     for m in sorted(set(masks), key=int.bit_count):
         for k in kept:
             if k & m == k:
@@ -127,20 +119,29 @@ def jets_radical(s, I):
 def minimal_transversals(edges):
     """All inclusion-minimal hitting sets of a family of index sets.
 
-    Incremental, on bitmasks (Berge): extend the minimal transversals of
-    the first k edges that miss edge k+1 by each of its vertices, and
-    re-minimalize.  The transversals that already hit edge k+1 all stay
-    minimal (a grown set inside one would contain a smaller transversal
-    of the first k edges), so only the grown sets are checked.  Returns
-    frozensets in a deterministic (size, sorted members) order.
+    Berge, on bitmasks: of the minimal transversals of the edges so far,
+    those that hit the next edge F stay, and each c that misses F grows
+    to c|b for every b in F.  A transversal inside c|b meets F only at b,
+    and a grown c'|b inside it has c' = c, so c|b is minimal iff no old
+    transversal h through b has h - b inside c.  Returns frozensets in
+    (size, sorted members) order.
     """
     covers = [0]
     for edge in edges:
         bits = {1 << v for v in edge}
         mask = sum(bits)
         hitting = [c for c in covers if c & mask]
-        grown = [c | b for c in covers if not c & mask for b in bits]
-        covers = _minimal_masks(grown, hitting)
+        missing = [c for c in covers if not c & mask]
+        grown = []
+        for b in bits:
+            rest = [h ^ b for h in hitting if h & b]
+            for c in missing:
+                for r in rest:
+                    if r | c == c:
+                        break
+                else:
+                    grown.append(c | b)
+        covers = hitting + grown
     members = [[i for i in range(c.bit_length()) if c >> i & 1] for c in covers]
     return [frozenset(c) for c in sorted(members, key=lambda c: (len(c), c))]
 
@@ -154,5 +155,5 @@ def minimal_primes_squarefree(I):
     """
     if not I.squarefree:
         raise ValueError("minimal primes require a squarefree monomial ideal")
-    covers = minimal_transversals(m.support() for m in I.generators)
-    return [tuple(I.ring.variables[i] for i in sorted(c)) for c in covers]
+    return [tuple(I.ring.variables[i] for i in sorted(c))
+            for c in minimal_transversals(m.support() for m in I.generators)]

@@ -297,6 +297,43 @@ def test_covers_are_minimal_covers():
                 assert not all((members - {v}) & e for e in edges)
 
 
+def _cycle(n):
+    vertices = [Variable(ch) for ch in "abcdefghijkl"[:n]]
+    return Graph(vertices, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("s, n, count", [(2, 12, 730), (3, 10, 605)])
+def test_covers_of_jets_of_cycles(s, n, count):
+    G = jets_graph(s, _cycle(n))
+    covers = minimal_vertex_covers(G)
+    assert len(covers) == count
+    index = {v: i for i, v in enumerate(G.vertices)}
+    members = [sorted(index[v] for v in c) for c in covers]
+    keys = [(len(c), c) for c in members]
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # distinct and in order
+    edges = [1 << i | 1 << j for i, j in G.edges]
+    for c in members:
+        mask = sum(1 << i for i in c)
+        assert all(e & mask for e in edges)
+        for i in c:
+            assert not all(e & (mask ^ 1 << i) for e in edges)
+
+
+@pytest.mark.parametrize("s, n", [(2, 12), (3, 10)])
+def test_covers_of_jets_of_cycles_match_networkx(s, n):
+    # the minimal vertex covers are the complements of the maximal
+    # independent sets, which are the maximal cliques of the complement
+    nx = pytest.importorskip("networkx")
+    G = jets_graph(s, _cycle(n))
+    H = nx.Graph()
+    H.add_nodes_from(range(len(G.vertices)))
+    H.add_edges_from(G.edges)
+    everything = set(range(len(G.vertices)))
+    want = {frozenset(everything - set(q)) for q in nx.find_cliques(nx.complement(H))}
+    index = {v: i for i, v in enumerate(G.vertices)}
+    assert {frozenset(index[v] for v in c) for c in minimal_vertex_covers(G)} == want
+
+
 def test_parse_graph_text_by_appearance():
     G = parse_graph_text("a-c,a-d")
     assert [v.name for v in G.vertices] == ["a", "c", "d"]

@@ -202,6 +202,44 @@ def test_minimal_primes_match_subset_scan():
     assert minimal_transversals([(0, 1), (), (2,)]) == []
 
 
+def _random_family(rng):
+    """A family of edges on at most 8 vertices, with duplicate, nested,
+    singleton and repeated-vertex edges mixed in, and its vertex count."""
+    n = rng.randint(1, 8)
+    edges = [tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+             for _ in range(rng.randint(0, 8))]
+    if edges and rng.random() < 0.5:
+        edges.append(rng.choice(edges))
+    if edges and rng.random() < 0.5:
+        e = rng.choice(edges)
+        edges.append(e[:rng.randint(1, len(e))])
+    if rng.random() < 0.3:
+        edges.append((rng.randrange(n),))
+    if edges and rng.random() < 0.3:
+        e = rng.choice(edges)
+        edges.append(e + (e[0],))
+    rng.shuffle(edges)
+    return n, edges
+
+
+def test_minimal_transversals_match_brute_force():
+    rng = random.Random(70701)
+    for _ in range(600):
+        n, edges = _random_family(rng)
+        want = brute_minimal_covers(n, edges)
+        assert minimal_transversals(edges) == want, edges
+        shuffled = rng.sample(edges, len(edges))
+        assert minimal_transversals(e for e in shuffled) == want, shuffled
+
+
+def test_minimal_transversals_special_families():
+    assert minimal_transversals([(0, 1), (0, 1), (1, 0)]) == [frozenset({0}), frozenset({1})]
+    assert minimal_transversals([(2, 2, 2)]) == [frozenset({2})]
+    assert minimal_transversals([(0, 1, 2), (1,), (1, 2)]) == [frozenset({1})]
+    assert minimal_transversals(iter([(0, 1), (1, 2)])) == \
+        [frozenset({1}), frozenset({0, 2})]
+
+
 def test_containment_of_jets_in_radical(xyz_ideal):
     ji = jets_ideal(2, xyz_ideal)
     rad = jets_radical(2, xyz_ideal)
