@@ -15,7 +15,8 @@ import re
 
 from .poly import _IDENT, Monomial, ParseError, PolyRing, Variable
 from .jets import jet_ring
-from .monomial import MonomialIdeal, _jet_supports, _minimal_masks, minimal_transversals
+from .monomial import (MonomialIdeal, _jet_supports, _members, _minimal_masks,
+                       minimal_transversals)
 
 
 class _Vertices:
@@ -91,9 +92,7 @@ class HyperGraph(_Vertices):
             if not mask:
                 raise ValueError("empty hyperedge")
             masks.append(mask)
-        n = len(self.vertices)
-        self.edges = tuple(sorted(tuple(i for i in range(n) if m >> i & 1)
-                                  for m in _minimal_masks(masks)))
+        self.edges = tuple(sorted(tuple(_members(m)) for m in _minimal_masks(masks)))
 
     def edge_sets(self):
         return [tuple(self.vertices[i] for i in e) for e in self.edges]

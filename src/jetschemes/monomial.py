@@ -79,6 +79,16 @@ def _minimal_masks(masks):
     return kept
 
 
+def _members(mask):
+    """The set bit positions of an int bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def minimalize(ring, gens):
     """Minimal generators, sorted in canonical term order, largest first."""
     ordered = sorted(set(gens), key=lambda m: term_key(ring, m), reverse=True)
@@ -142,8 +152,7 @@ def minimal_transversals(edges):
                 else:
                     grown.append(c | b)
         covers = hitting + grown
-    members = [[i for i in range(c.bit_length()) if c >> i & 1] for c in covers]
-    return [frozenset(c) for c in sorted(members, key=lambda c: (len(c), c))]
+    return [frozenset(c) for c in sorted(map(_members, covers), key=lambda c: (len(c), c))]
 
 
 def minimal_primes_squarefree(I):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,8 +84,8 @@ class PolyRing:
     is used for weighted homogeneity checks.
     """
 
-    __slots__ = ("variables", "blocks", "weights", "_index", "_by_name",
-                 "_rev_starts", "_hash")
+    __slots__ = ("variables", "blocks", "weights", "_index", "_names", "_by_name",
+                 "_ends", "_hash")
 
     def __init__(self, variables, blocks=None, weights=None):
         self.variables = tuple(variables)
@@ -94,21 +95,18 @@ class PolyRing:
         self.blocks = tuple((tag, int(size)) for tag, size in blocks)
         if sum(size for _, size in self.blocks) != n:
             raise ValueError("blocks do not partition the variable list")
-        names = [v.name for v in self.variables]
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise ValueError(f"duplicate variable {name}")
-            seen.add(name)
+        self._names = tuple(v.name for v in self.variables)
+        self._by_name = {name: i for i, name in enumerate(self._names)}
+        if len(self._by_name) != n:
+            name = next(v for i, v in enumerate(self._names) if self._by_name[v] != i)
+            raise ValueError(f"duplicate variable {name}")
         if weights is not None:
             weights = tuple(int(w) for w in weights)
             if len(weights) != n:
                 raise ValueError("need one weight per variable")
         self.weights = weights
         self._index = {v: i for i, v in enumerate(self.variables)}
-        self._by_name = {v.name: i for i, v in enumerate(self.variables)}
-        starts = itertools.accumulate((size for _, size in self.blocks[:-1]), initial=0)
-        self._rev_starts = tuple(starts)[::-1]
+        self._ends = tuple(itertools.accumulate(size for _, size in self.blocks))
         self._hash = hash((self.variables, self.blocks, self.weights))
 
     def index(self, v):
@@ -235,36 +233,42 @@ class Monomial:
 def term_key(ring, mono):
     """Sort key for monomials, ascending in the ring's canonical order.
 
-    Compares one block at a time starting from the last block; within a
-    block the order is graded reverse lexicographic.  Each block gives its
-    degree, then its variables from the last one as (-index, -exponent)
-    pairs.  Between blocks of equal degree neither pair list is a prefix of
-    the other, so this orders them as the block's negated exponents read
-    from its last variable, zeros included, would.
+    Blocks are compared from the last one; within a block the order is
+    graded reverse lexicographic.  The key is one flat tuple: for each
+    block, from the last, its degree and then -index, -exponent for each
+    of its variables from the last one, stopping after the block of the
+    monomial's lowest-index variable (the constant monomial keys as ()).
+    At equal block degree neither run of pairs is a prefix of the other,
+    so two keys stay aligned block by block and compare as the block's
+    negated exponents read from its last variable, zeros included, would.
+    A key cut off after its last nonempty block is a prefix only of the
+    key of a monomial that agrees with it there and has more variables
+    below, which is the larger one.
     """
     exps = mono.exps
-    k = len(exps) - 1
-    key = []
-    for start in ring._rev_starts:
-        degree = 0
-        block = []
-        while k >= 0 and exps[k][0] >= start:
-            i, e = exps[k]
-            degree += e
-            block.append((-i, -e))
-            k -= 1
-        key.append(degree)
-        key.append(tuple(block))
+    if not exps:
+        return ()
+    ends = ring._ends
+    b = bisect_right(ends, exps[0][0])   # the block of the lowest-index variable
+    key = []   # built from that block up, and reversed at the end
+    degree = 0
+    for i, e in exps:
+        while i >= ends[b]:
+            key.append(degree)
+            degree = 0
+            b += 1
+        key += (-e, -i)
+        degree += e
+    key.append(degree)
+    key += [0] * (len(ends) - 1 - b)
+    key.reverse()
     return tuple(key)
 
 
 def monomial_str(ring, mono):
     """Print factors in variable-list order, e.g. "y0*z0*x2" or "x^2*y"."""
-    parts = []
-    for i, e in mono.exps:
-        name = ring.variables[i].name
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    names = ring._names
+    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono.exps])
 
 
 class Poly:
@@ -393,18 +397,16 @@ class Poly:
         out = []
         for m, c in self.items():
             mono = monomial_str(self.ring, m)
-            mag = abs(c)
+            num, den = c.numerator, c.denominator
+            sign = "-" if num < 0 else "+"
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
+                out += (sign, mag)
+            elif mag == "1":
+                out += (sign, mono)
             else:
-                body = f"{mag}*{mono}"
-            if not out:
-                out.append(f"-{body}" if c < 0 else body)
-            else:
-                out.append(("-" if c < 0 else "+") + body)
-        return "".join(out)
+                out += (sign, mag, "*", mono)
+        return "".join(out[1:] if out[0] == "+" else out)
 
     def __repr__(self):
         return f"Poly({self})"

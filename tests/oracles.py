@@ -76,6 +76,26 @@ def dense_term_key(ring, mono):
     return tuple(key)
 
 
+def dense_poly_str(f):
+    """The canonical text of f: terms largest first by `dense_term_key`,
+    factors in variable-list order, coefficients as str(abs(Fraction))
+    with the sign in front, "1*" left out, and "0" for no terms."""
+    names = [v.name for v in f.ring.variables]
+    out = []
+    for m, c in sorted(f._terms.items(), key=lambda kv: dense_term_key(f.ring, kv[0]),
+                       reverse=True):
+        vector = [0] * len(names)
+        for i, e in m.exps:
+            vector[i] = e
+        mono = "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                        for i, e in enumerate(vector) if e)
+        mag = str(abs(Fraction(c)))
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        sign = "-" if c < 0 else "+" if out else ""
+        out.append(sign + body)
+    return "".join(out) or "0"
+
+
 def _block_slices(ring):
     start = 0
     for _, size in ring.blocks:

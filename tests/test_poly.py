@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
                         is_homogeneous, jet_ring, parse_poly, parse_variables,
                         ring_make, term_key)
 
-from oracles import dense_from_poly, dense_mul, dense_term_key, random_poly
+from oracles import (dense_from_poly, dense_mul, dense_poly_str, dense_term_key,
+                     random_poly)
 
 
 def test_ring_make_three_variables(xyz_ring):
@@ -192,22 +194,88 @@ def _random_monomial(rng, nvars):
     return Monomial((i, rng.randint(1, 3)) for i in support)
 
 
-def test_term_key_sorts_like_the_dense_key():
-    rng = random.Random(20261018)
+def _key_test_rings():
     plain = [ring_make(parse_variables(names)) for names in ("x", "x,y,z", "a..h")]
     jets = [jet_ring(ring, s).ring for ring in plain[:2] for s in range(6)]
     mixed = [PolyRing([Variable(ch) for ch in "abcdefg"], blocks)
              for blocks in (((None, 2), (1, 3), (2, 2)), ((0, 1), (1, 5), (2, 1)),
                             ((None, 7),), ((0, 3), (1, 4)))]
-    for ring in plain + jets + mixed:
+    return plain + jets + mixed
+
+
+def _assert_keys_agree(ring, m1, m2):
+    assert ((term_key(ring, m1) < term_key(ring, m2))
+            == (dense_term_key(ring, m1) < dense_term_key(ring, m2)))
+    assert ((term_key(ring, m1) == term_key(ring, m2))
+            == (dense_term_key(ring, m1) == dense_term_key(ring, m2)) == (m1 == m2))
+
+
+def test_term_key_sorts_like_the_dense_key():
+    rng = random.Random(20261018)
+    for ring in _key_test_rings():
         n = len(ring.variables)
-        monos = list({_random_monomial(rng, n) for _ in range(60)}) + [Monomial()]
+        monos = list({_random_monomial(rng, n) for _ in range(60)} | {Monomial()})
         rng.shuffle(monos)
         assert (sorted(monos, key=lambda m: term_key(ring, m))
                 == sorted(monos, key=lambda m: dense_term_key(ring, m)))
         for m1, m2 in zip(monos, monos[1:]):
-            assert ((term_key(ring, m1) < term_key(ring, m2))
-                    == (dense_term_key(ring, m1) < dense_term_key(ring, m2)))
+            _assert_keys_agree(ring, m1, m2)
+        # injective on the sample: equal keys exactly for equal monomials
+        assert len({term_key(ring, m) for m in monos}) == len(monos)
+        assert all(term_key(ring, Monomial(m.exps)) == term_key(ring, m) for m in monos)
+
+    # a 3-block jet ring x0,y0 | x1,y1 | x2,y2, with hand-picked pairs (smaller, larger)
+    ring = jet_ring(ring_make(parse_variables("x,y")), 2).ring
+
+    def mono(text):
+        (m,) = parse_poly(text, ring)._terms
+        return m
+
+    one = Monomial()
+    for e in itertools.product(range(3), repeat=6):
+        m = Monomial(enumerate(e))
+        if m != one:
+            assert term_key(ring, one) < term_key(ring, m)
+            _assert_keys_agree(ring, one, m)
+    # (smaller, larger); the first difference falls in a block that is
+    # empty on the smaller side, or inside one block of equal degree
+    pairs = [("x0^3", "x1"), ("y0^2*x0", "y1"), ("x1*y1*x0^4", "x2"), ("x0", "y2"),
+             ("x2*y0^2", "x2*x1"), ("y1^2*x0", "x2*y0"), ("y1*x0", "x1*x0"),
+             ("x2*y0^2", "x2*x0*y0"), ("x2*y2*y1", "x2^2*y1")]
+    # both agree in the higher blocks and the smaller one stops earlier: its
+    # key is a prefix of the larger one's
+    stops_earlier = [("x2", "x2*y0"), ("x2*y1", "x2*y1*x0"), ("x1*y1", "x1*y1*y0^3"),
+                     ("y2^2*x1", "y2^2*x1*x0*y0"), ("x2*y2", "x2*y2*x1")]
+    for small, large in pairs + stops_earlier:
+        m1, m2 = mono(small), mono(large)
+        assert term_key(ring, m1) < term_key(ring, m2), (small, large)
+        assert dense_term_key(ring, m1) < dense_term_key(ring, m2), (small, large)
+        _assert_keys_agree(ring, m2, m1)
+    for small, large in stops_earlier:
+        k1, k2 = term_key(ring, mono(small)), term_key(ring, mono(large))
+        assert k2[:len(k1)] == k1, (small, large)
+
+
+def test_poly_str_matches_the_dense_printer():
+    rng = random.Random(8)
+    coefficients = [Fraction(v) * sign for v in (1, "1/2", 7, "123456789/1000")
+                    for sign in (1, -1)]
+    rings = _key_test_rings()
+    checked = 0
+    for ring in rings:
+        n = len(ring.variables)
+        for _ in range(30):
+            terms = [(_random_monomial(rng, n), rng.choice(coefficients))
+                     for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                terms.append((Monomial(), rng.choice(coefficients)))
+            f = Poly(ring, terms)
+            assert str(f) == dense_poly_str(f)
+            checked += 1
+        for f in (ring.zero(), ring.constant(Fraction(-1, 2)), ring.one(), -ring.var(n - 1)):
+            assert str(f) == dense_poly_str(f)
+        assert str(ring.zero()) == "0" and str(ring.constant(Fraction(-1, 2))) == "-1/2"
+    assert checked >= 500
 
 
 def test_variable_name_is_cached_without_changing_identity():
