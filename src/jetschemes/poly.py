@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 _IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names, binding names and graph vertices
 _IDENT_RE = re.compile(_IDENT)
@@ -40,27 +39,28 @@ class Variable:
     The printed name appends the jet order to the base ("x" at order 2 is
     "x2") and then the subscripts ("x0_(1,1)").  Base names may not end in
     a digit, otherwise "x12" could be either x at order 12 or x1 at order 2.
+    The name is set once, at construction, and takes no part in equality,
+    hashing or repr; the parser scans a name so written as one token.
     """
 
     base: str
     subscripts: tuple[int, ...] = ()
     jet_order: int | None = None
+    name: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _IDENT_RE.fullmatch(self.base):
             raise ValueError(f"invalid variable base name {self.base!r}")
         if self.base[-1].isdigit():
             raise ValueError(f"variable base {self.base!r} ends in a digit")
-        object.__setattr__(self, "subscripts", tuple(int(s) for s in self.subscripts))
-        if any(s < 0 for s in self.subscripts):
+        subs = tuple(map(int, self.subscripts))
+        object.__setattr__(self, "subscripts", subs)
+        if subs and min(subs) < 0:
             raise ValueError("subscripts must be naturals")
         if self.jet_order is not None and self.jet_order < 0:
             raise ValueError("jet order must be a natural")
-
-    @cached_property
-    def name(self):
         order = "" if self.jet_order is None else str(self.jet_order)
-        return _subscripted(self.base + order, self.subscripts)
+        object.__setattr__(self, "name", _subscripted(self.base + order, subs))
 
     def __str__(self):
         return self.name
@@ -461,31 +461,30 @@ class Ideal:
 # vars   := range { ',' range }
 # range  := var [ '..' var ]
 #
+# A var written compactly ("x_(1,12)": no spaces, no leading zeros) is
+# scanned whole as one ident token, whose text is its name; any other
+# spelling ("x _( 1, 012 )") is read token by token by the same `var` rule.
+#
 # "a..e" and "x_(1,1)..x_(3,3)" expand to ranges (single letters, or a box
 # of subscript tuples enumerated with the last coordinate varying fastest).
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(rf"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>{_IDENT})"
-                       r"|(?P<sym>\.\.|[-+*/^_(),])|(?P<bad>.)", re.S)
-
-
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+_NAT = "(?:0|[1-9][0-9]*)"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT}(?:_\({_NAT}(?:,{_NAT})*\))?)"
+                       r"|(?P<sym>\.\.|[-+*/^_(),])|(?P<bad>\S))")
 
 
 class _Cursor:
     """The tokens of one text, read left to right by both grammars."""
 
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.tokens = tokens = []
+        for m in _TOKEN_RE.finditer(text):   # each match skips the whitespace before its token
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            tokens.append((kind, m[kind], m.start(kind)))
+        tokens.append(("end", "", len(text)))
         self.i = 0
 
     def peek(self):
@@ -515,24 +514,29 @@ class _Cursor:
         return int(value)
 
     def name(self, what):
-        """Parse a `var`; returns (ident, subscripts, offset of the ident)."""
-        kind, base, pos = self.advance()
+        """Parse a `var`; returns (its canonical name, offset of the ident)."""
+        kind, text, pos = self.advance()
         if kind != "ident":
             raise ParseError(f"expected {what}", pos)
-        subs = ()
-        if self.accept_sym("_"):
+        if "_(" not in text and self.accept_sym("_"):   # not scanned whole
             self.expect_sym("(")
             subs = [self.expect_nat()]
             while self.accept_sym(","):
                 subs.append(self.expect_nat())
             self.expect_sym(")")
-            subs = tuple(subs)
-        return base, subs, pos
+            text = _subscripted(text, subs)
+        return text, pos
 
     def expect_end(self):
         kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", pos)
+        if kind != "end":   # a name scanned whole is reported by its ident
+            raise ParseError(f"unexpected {value.partition('_(')[0]!r}", pos)
+
+
+def _split_name(name):
+    """The base and subscripts of a canonical name: "x_(1,2)" gives ("x", (1, 2))."""
+    base, paren, subs = name.partition("_(")
+    return base, tuple(map(int, subs[:-1].split(","))) if paren else ()
 
 
 def parse_poly(text, ring):
@@ -541,55 +545,62 @@ def parse_poly(text, ring):
     Raises ParseError (with a position) on bad syntax or unknown variables.
     """
     cur = _Cursor(text)
-    terms = []
-    negate = cur.accept_sym("-")
+    terms = {}
+    sign = -1 if cur.accept_sym("-") else 1
     while True:
-        mono, coeff = _term(cur, ring)
-        terms.append((mono, -coeff if negate else coeff))
+        mono, num, den = _term(cur, ring)
+        c = Fraction(sign * num, den)
+        if mono in terms:
+            c += terms[mono]
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
         if cur.accept_sym("+"):
-            negate = False
+            sign = 1
         elif cur.accept_sym("-"):
-            negate = True
+            sign = -1
         else:
             break
     cur.expect_end()
-    return Poly(ring, terms)
+    return Poly._trusted(ring, terms)
 
 
 def _term(cur, ring):
+    """One term as (monomial, numerator, denominator) of its unsigned coefficient."""
     kind, _, pos = cur.peek()
-    coeff = Fraction(1)
+    num = den = 1
     exps = {}
     if kind == "int":
-        coeff = _coeff(cur)
+        num, den = _coeff(cur)
     elif kind == "ident":
         _factor(cur, ring, exps)
     else:
         raise ParseError("expected a coefficient or a variable", pos)
     while cur.accept_sym("*"):
         _factor(cur, ring, exps)
-    return Monomial(exps), coeff
+    return Monomial._trusted(tuple(sorted(exps.items()))), num, den
 
 
 def _coeff(cur):
     num = cur.expect_nat()
     if not cur.accept_sym("/"):
-        return Fraction(num)
+        return num, 1
     pos = cur.peek()[2]
     den = cur.expect_nat("a denominator")
     if den == 0:
         raise ParseError("zero denominator", pos)
-    return Fraction(num, den)
+    return num, den
 
 
 def _factor(cur, ring, exps):
-    base, subs, pos = cur.name("a variable")
-    name = _subscripted(base, subs)
+    name, pos = cur.name("a variable")
     i = ring._by_name.get(name)
     if i is None:
         raise ParseError(f"unknown variable {name}", pos)
     e = cur.expect_nat() if cur.accept_sym("^") else 1
-    exps[i] = exps.get(i, 0) + e
+    if e:   # x^0 leaves no zero exponent in the monomial
+        exps[i] = exps.get(i, 0) + e
 
 
 def parse_variables(text):
@@ -597,19 +608,19 @@ def parse_variables(text):
     cur = _Cursor(text)
     result = []
     while True:
-        base, subs, pos = cur.name("a variable name")
+        name, pos = cur.name("a variable name")
         if cur.accept_sym(".."):
-            base2, subs2, _ = cur.name("a variable name")
-            result.extend(_expand_range(base, subs, base2, subs2, pos))
+            result.extend(_expand_range(name, cur.name("a variable name")[0], pos))
         else:
-            result.append(Variable(base, subs))
+            result.append(Variable(*_split_name(name)))
         if not cur.accept_sym(","):
             break
     cur.expect_end()
     return result
 
 
-def _expand_range(base, subs, base2, subs2, pos):
+def _expand_range(name, name2, pos):
+    (base, subs), (base2, subs2) = _split_name(name), _split_name(name2)
     if subs or subs2:
         if base != base2:
             raise ParseError("subscript range needs matching base names", pos)

@@ -262,6 +262,19 @@ def brute_chromatic(n, edges):
     raise AssertionError("unreachable")
 
 
+# --- parsing ------------------------------------------------------------------
+
+def poly_from_terms(ring, terms):
+    """The polynomial of `terms`, built only by the validating constructors.
+
+    Each term is (factors, coefficient) with factors a list of (variable
+    index, exponent) pairs, repeats and zero exponents allowed: Monomial
+    merges and drops them, and Poly sums repeated monomials, normalizes
+    the coefficients and drops zero sums.
+    """
+    return Poly(ring, [(Monomial(factors), Fraction(c)) for factors, c in terms])
+
+
 # --- random instance generators ----------------------------------------------
 
 def random_poly(rng, ring, max_degree=4, max_terms=5):

@@ -1,7 +1,9 @@
 """Every ParseError site of the two text grammars, pinned by message and offset.
 
 The polynomial grammar and the variable-list grammar share one token
-cursor; these rows hold their messages and 0-based offsets fixed.  The
+cursor; these rows hold their messages and 0-based offsets fixed.  A
+name written compactly ("y_(1,2)") is scanned as one token, but a stray
+one is still reported by its identifier alone, as when spelled out.  The
 `run_script` rows check that ring, ideal and graph bodies report offsets
 into the whole script.
 """
@@ -20,6 +22,11 @@ POLY_ERRORS = [
     ("x^y", "expected a natural number", 2),
     ("x^", "expected a natural number", 2),
     ("x y", "unexpected 'y'", 2),
+    ("x y_(1,2)", "unexpected 'y'", 2),
+    ("x_(1,1) x_(1,2)", "unexpected 'x'", 8),
+    ("x_(1,2)_(3)", "unexpected '_'", 7),
+    ("x_(01,2", "expected ')'", 7),
+    ("x_(1,2)^", "expected a natural number", 8),
     ("x..", "unexpected '..'", 1),
     ("x + * y", "expected a coefficient or a variable", 4),
     ("", "expected a coefficient or a variable", 0),
@@ -45,6 +52,9 @@ VARIABLE_ERRORS = [
     ("x_(1,2", "expected ')'", 6),
     ("x_(a)", "expected a natural number", 3),
     ("x y", "unexpected 'y'", 2),
+    ("x_(1)..x_(2) y_(1)", "unexpected 'y'", 13),
+    ("x_(1)_(2)", "unexpected '_'", 5),
+    ("x_(01,2", "expected ')'", 7),
     ("x_(1)..y_(2)", "subscript range needs matching base names", 0),
     ("x_(1)..x_(1,2)", "subscript range needs tuples of equal length", 0),
     ("a,x..x_(1)", "subscript range needs tuples of equal length", 2),
@@ -60,6 +70,7 @@ SCRIPT_ERRORS = [
     ("ring R = [x,y]; ideal I = x, y*$;", "unexpected character '$'", 31),
     ("ring R = [x,y];\nideal I = x_(1), y;", "unknown variable x_(1)", 26),
     ("ring R = [x,y]; ideal I = x*y, (x+y);", "expected a coefficient or a variable", 31),
+    ("ring R = [x_(1,1)..x_(2,2)];\nideal I = x_(1,1), x_(1,1) x_(2,2)^2;", "unexpected 'x'", 56),
     ("graph G = a-b, c;", "bad edge 'c', expected NAME-NAME", 10),
     ("graph G = vertices a\na-b;", "edge uses undeclared vertex b", 10),
     ("graph G = ;", "empty graph", 9),

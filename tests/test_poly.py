@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
                         ring_make, term_key)
 
 from oracles import (dense_from_poly, dense_mul, dense_poly_str, dense_term_key,
-                     random_poly)
+                     poly_from_terms, random_poly)
 
 
 def test_ring_make_three_variables(xyz_ring):
@@ -164,6 +165,90 @@ def test_subscripted_parse_roundtrip():
     assert parse_poly(str(f), ring) == f
 
 
+def _spaced(rng, tokens):
+    """Join `tokens`, with random whitespace (or none) before, between and after them."""
+    return "".join(rng.choice(["", "", "", " ", "  ", "\n\t"]) + tok for tok in tokens + [""])
+
+
+def _padded(rng, n):
+    return rng.choice(["", "", "0", "00"]) + str(n)
+
+
+def _subscript_tokens(rng, subs):
+    """The tokens of "_(s1,...,sk)", each subscript possibly zero-padded."""
+    return ["_", "("] + " , ".join(_padded(rng, s) for s in subs).split(" ") + [")"]
+
+
+def _name_tokens(rng, v):
+    """A variable's name as one compact token, or spelled out token by token."""
+    if not v.subscripts or rng.random() < 0.4:
+        return [v.name]
+    return [v.name.partition("_(")[0]] + _subscript_tokens(rng, v.subscripts)
+
+
+def _random_poly_text(rng, ring):
+    """A random polynomial text in `ring` and its (factors, coefficient) terms.
+
+    The text may repeat factors (x*x), write x^0, an explicit 1*, padded
+    numbers and unreduced fractions, and repeat or cancel an earlier term.
+    """
+    n = len(ring.variables)
+    terms, tokens = [], []
+    for t in range(rng.randint(1, 6)):
+        if terms and rng.random() < 0.3:
+            factors, (num, den, sign) = rng.choice(terms)
+            factors = rng.sample(factors, len(factors))
+            sign = -sign if rng.random() < 0.6 else sign
+        else:
+            factors = [(rng.randrange(n), rng.choice([0, 1, 1, 1, 2, 3])) for _ in range(rng.randint(0, 3))]
+            if factors and rng.random() < 0.2:
+                factors.append(rng.choice(factors))
+            num, den = rng.randint(0, 9), rng.choice([1, 1, 2, 3, 4, 6])
+            sign = rng.choice([1, -1])
+        terms.append((factors, (num, den, sign)))
+        if t or sign < 0:
+            tokens.append("-" if sign < 0 else "+")
+        body = []
+        if not factors or (num, den) != (1, 1) or rng.random() < 0.2:
+            body.append([_padded(rng, num)] + (["/", _padded(rng, den)] if den > 1 else []))
+        for i, e in factors:
+            power = ["^", _padded(rng, e)] if e != 1 or rng.random() < 0.2 else []
+            body.append(_name_tokens(rng, ring.variables[i]) + power)
+        tokens += [tok for k, part in enumerate(body) for tok in (["*"] if k else []) + part]
+    return _spaced(rng, tokens), [(f, Fraction(sign * num, den)) for f, (num, den, sign) in terms]
+
+
+def test_parse_poly_matches_the_constructor_oracle():
+    rings = [ring_make(parse_variables("x,y,z,w")),
+             ring_make(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
+             jet_ring(ring_make(parse_variables("x,y_(1,2)")), 2).ring]
+    rng = random.Random(9)
+    for k in range(600):
+        ring = rings[k % 3]
+        text, terms = _random_poly_text(rng, ring)
+        f, expected = parse_poly(text, ring), poly_from_terms(ring, terms)
+        assert f == expected and hash(f) == hash(expected), text
+        for m, c in f._terms.items():
+            assert type(c) is Fraction and c and c.denominator > 0
+            assert c == Fraction(c.numerator, c.denominator)
+            assert all(e > 0 for _, e in m.exps) and m.exps == tuple(sorted(dict(m.exps).items()))
+        assert parse_poly(str(f), ring) == f
+
+
+def test_spaced_or_padded_variable_ranges_equal_their_compact_forms():
+    rng = random.Random(4)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        lo = [rng.randint(0, 11) for _ in range(k)]
+        hi = [s + rng.randint(0, 2) for s in lo]
+        compact = f"a..c,q,x_({','.join(map(str, lo))})..x_({','.join(map(str, hi))})"
+        spelled = (["a", "..", "c", ",", "q", ",", "x"] + _subscript_tokens(rng, lo)
+                   + ["..", "x"] + _subscript_tokens(rng, hi))
+        variables = parse_variables(compact)
+        assert parse_variables(_spaced(rng, spelled)) == variables
+        assert [v.name for v in variables][:4] == ["a", "b", "c", "q"]
+
+
 def test_is_homogeneous(xyz_ring):
     assert is_homogeneous(parse_poly("x^2+x*y", xyz_ring), (1, 1, 1))
     assert not is_homogeneous(parse_poly("x+x^2", xyz_ring), (1, 1, 1))
@@ -280,9 +365,33 @@ def test_poly_str_matches_the_dense_printer():
 
 def test_variable_name_is_cached_without_changing_identity():
     v = Variable("x", (1, 2), 3)
+    assert vars(v)["name"] == "x3_(1,2)"   # set at construction, not on first read
     assert v.name == "x3_(1,2)" and v.name is v.name
     w = Variable("x", (1, 2), 3)
     assert v == w and hash(v) == hash(w) and repr(v) == "Variable('x3_(1,2)')"
-    w.name
-    assert v == w and hash(v) == hash(w)
     assert v != Variable("x", (1, 2)) and Variable("x", (1, 2)).name == "x_(1,2)"
+    assert Variable("x", ("1", "02")) == Variable("x", (1, 2))
+    assert Variable("x", ("1", "02")).name == "x_(1,2)" and Variable("ab").name == "ab"
+    # the name is no field of ==, hash or the generated repr, and no argument
+    (name,) = [f for f in dataclasses.fields(Variable) if f.name == "name"]
+    assert not (name.init or name.compare or name.repr)
+    object.__setattr__(w, "name", "other")
+    assert v == w and hash(v) == hash(w)
+    with pytest.raises(TypeError):
+        Variable("x", (), None, "x")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("1x",), "invalid variable base name '1x'"),
+    (("x_",), "invalid variable base name 'x_'"),
+    (("",), "invalid variable base name ''"),
+    (("x1",), "variable base 'x1' ends in a digit"),
+    (("x", (1, -2)), "subscripts must be naturals"),
+    (("x", (-1,), 0), "subscripts must be naturals"),
+    (("x", (), -1), "jet order must be a natural"),
+    (("x", (1,), -2), "jet order must be a natural"),
+])
+def test_variable_rejects_invalid_parts(args, message):
+    with pytest.raises(ValueError) as err:
+        Variable(*args)
+    assert str(err.value) == message
