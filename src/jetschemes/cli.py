@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -302,15 +303,18 @@ def main(argv=None):
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object per command instead of text")
     args = parser.parse_args(argv)
-    if args.script:
-        try:
+    try:
+        if args.script:
             with open(args.script, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        print(f"error: {args.script or '<stdin>'}: {e}", file=sys.stderr)
+        return 1
     try:
         output = run_script(text, json_mode=args.json)
     except ParseError as e:
@@ -320,8 +324,15 @@ def main(argv=None):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if output:
-        print(output)
+    try:
+        if output:
+            print(output)
+        sys.stdout.flush()   # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # the reader is gone (`jetschemes | head -1`); point stdout at devnull
+        # so the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -15,51 +15,63 @@ import re
 
 from .poly import _IDENT, Monomial, ParseError, PolyRing, Variable
 from .jets import jet_ring
-from .monomial import (MonomialIdeal, _jet_supports, _members, _minimal_masks,
-                       minimal_transversals)
+from .monomial import MonomialIdeal, _jet_supports, _members, _minimal_masks, _transversals
 
 
-class _Vertices:
-    """Named vertices with an index lookup, shared by graphs and hypergraphs."""
+def _resolver(vertices):
+    """The lookup from a vertex, or its index, to its index; the vertices
+    must be distinct."""
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("duplicate vertex")
 
-    __slots__ = ("vertices", "_index")
-
-    def __init__(self, vertices):
-        self.vertices = tuple(vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
-            raise ValueError("duplicate vertex")
-
-    def _resolve(self, v):
+    def resolve(v):
         if isinstance(v, int):
-            if not 0 <= v < len(self.vertices):
+            if not 0 <= v < len(vertices):
                 raise ValueError("vertex index out of range")
             return v
         try:
-            return self._index[v]
+            return index[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
+    return resolve
 
 
-class Graph(_Vertices):
+def _adjacency(n, edges):
+    """Neighbor masks: bit j of entry i is set iff i-j is an edge."""
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+class Graph:
     """A finite simple graph; vertices are Variables, edges unordered pairs."""
 
-    __slots__ = ("edges", "adj")
+    __slots__ = ("vertices", "edges", "adj")
 
     def __init__(self, vertices, edges):
-        super().__init__(vertices)
+        self.vertices = tuple(vertices)
+        resolve = _resolver(self.vertices)
         pairs = set()
         for u, v in edges:
-            i, j = self._resolve(u), self._resolve(v)
+            i, j = resolve(u), resolve(v)
             if i == j:
                 raise ValueError(f"loop at vertex {self.vertices[i].name}")
             pairs.add((i, j) if i < j else (j, i))
         self.edges = tuple(sorted(pairs))
-        adj = [0] * len(self.vertices)
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self.adj = tuple(adj)  # bit j of adj[i] is set iff i-j is an edge
+        self.adj = _adjacency(len(self.vertices), self.edges)
+
+    @classmethod
+    def _trusted(cls, vertices, edges):
+        """A graph on a tuple of distinct vertices and the sorted, distinct
+        index pairs (i, j), i < j, of its edges; nothing is checked."""
+        G = object.__new__(cls)
+        G.vertices = vertices
+        G.edges = tuple(edges)
+        G.adj = _adjacency(len(vertices), G.edges)
+        return G
 
     def edge_pairs(self):
         """Edges as pairs of Variables, in canonical order."""
@@ -79,16 +91,17 @@ class Graph(_Vertices):
         return f"Graph({self})"
 
 
-class HyperGraph(_Vertices):
+class HyperGraph:
     """A hypergraph with nonempty edges, kept inclusion-minimal."""
 
-    __slots__ = ("edges",)
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices, edges):
-        super().__init__(vertices)
+        self.vertices = tuple(vertices)
+        resolve = _resolver(self.vertices)
         masks = []
         for edge in edges:
-            mask = sum({1 << self._resolve(v) for v in edge})
+            mask = sum({1 << resolve(v) for v in edge})
             if not mask:
                 raise ValueError("empty hyperedge")
             masks.append(mask)
@@ -125,7 +138,11 @@ def graph_from_edge_ideal(I):
 
 
 def _jet_edges(s, G):
-    """The jet vertices and the jet index tuples of every edge of G."""
+    """The jet vertices and the jet index tuples of every edge of G.
+
+    Each tuple is sorted, and no two are equal: a tuple maps back to its
+    edge (index k to vertex k mod n), and the tuples of one edge differ
+    in their orders."""
     vertices = jet_ring(PolyRing(G.vertices), s).ring.variables
     n = len(G.vertices)
     return vertices, [idx for edge in G.edges
@@ -134,7 +151,9 @@ def _jet_edges(s, G):
 
 def jets_graph(s, G):
     """The order-s jets of a graph, on vertices v0..vs for each vertex v."""
-    return Graph(*_jet_edges(s, G))
+    vertices, edges = _jet_edges(s, G)
+    edges.sort()
+    return Graph._trusted(vertices, edges)
 
 
 def jets_hypergraph(s, H):
@@ -146,7 +165,7 @@ def complement_graph(G):
     adj = G.adj
     n = len(adj)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
-    return Graph(G.vertices, edges)
+    return Graph._trusted(G.vertices, edges)
 
 
 def is_chordal(G):
@@ -241,7 +260,8 @@ def minimal_vertex_covers(G):
     Works for graphs and hypergraphs alike, and agrees with the minimal
     primes of the edge ideal.
     """
-    return [tuple(G.vertices[i] for i in sorted(c)) for c in minimal_transversals(G.edges)]
+    vertices = G.vertices
+    return [tuple(vertices[i] for i in c) for c in _transversals(G.edges)]
 
 
 _EDGE_RE = re.compile(rf"\s*({_IDENT})\s*-\s*({_IDENT})\s*$")

@@ -59,7 +59,10 @@ def jet_ring(base, s):
     if any(v.jet_order is not None for v in base.variables):
         raise ValueError("ring already has jet variables; iterated jets are not supported")
     n = len(base.variables)
-    variables = [Variable(v.base, v.subscripts, j)
+    # the base variables were checked, so their jets are too; each jet name
+    # is the base name with the order spliced in after the base ("x_(1)" -> "x2_(1)")
+    variables = [Variable._trusted(v.base, v.subscripts, j,
+                                   v.base + str(j) + v.name[len(v.base):])
                  for j in range(s + 1) for v in base.variables]
     blocks = tuple((j, n) for j in range(s + 1))
     weights = tuple(j for j in range(s + 1) for _ in range(n))

@@ -10,11 +10,12 @@ contains one of the products.  No series is expanded.
 
 Minimal primes of a squarefree monomial ideal are the minimal vertex
 covers of the hypergraph of generator supports: `minimal_transversals`
-runs Berge on bitmasks, testing a grown cover only against the old
-covers through its new vertex.  `_minimal_masks` minimalizes generators
-and hyperedges; a monomial is written in unary (exponent e of variable i
-fills e bits of a field as wide as the largest exponent), so divisibility
-becomes mask inclusion.
+runs Berge on bitmasks, sweeping the edges by their largest vertex and
+testing a grown cover only against the old covers through its new
+vertex.  `_minimal_masks` minimalizes generators and hyperedges; a
+monomial is written in unary (exponent e of variable i fills e bits of a
+field as wide as the largest exponent), so divisibility becomes mask
+inclusion.
 """
 
 from __future__ import annotations
@@ -133,17 +134,27 @@ def minimal_transversals(edges):
     those that hit the next edge F stay, and each c that misses F grows
     to c|b for every b in F.  A transversal inside c|b meets F only at b,
     and a grown c'|b inside it has c' = c, so c|b is minimal iff no old
-    transversal h through b has h - b inside c.  Returns frozensets in
-    (size, sorted members) order.
+    transversal h through b has h - b inside c.
+
+    The edges are swept by their largest vertex (in ascending order of
+    their masks, duplicates dropped), so once the edges inside the vertices
+    0..k are in, the transversals so far are the minimal covers of those
+    edges; the families stay smaller than in the order given.  Returns
+    frozensets in (size, sorted members) order.
     """
+    return [frozenset(c) for c in _transversals(edges)]
+
+
+def _transversals(edges):
+    """The minimal transversals of `minimal_transversals`, each as the
+    ascending list of its members, in (size, members) order."""
     covers = [0]
-    for edge in edges:
-        bits = {1 << v for v in edge}
-        mask = sum(bits)
-        hitting = [c for c in covers if c & mask]
-        missing = [c for c in covers if not c & mask]
+    for edge in sorted({sum({1 << v for v in e}) for e in edges}):
+        hitting = [c for c in covers if c & edge]
+        missing = [c for c in covers if not c & edge]
         grown = []
-        for b in bits:
+        for v in _members(edge):
+            b = 1 << v
             rest = [h ^ b for h in hitting if h & b]
             for c in missing:
                 for r in rest:
@@ -152,7 +163,7 @@ def minimal_transversals(edges):
                 else:
                     grown.append(c | b)
         covers = hitting + grown
-    return [frozenset(c) for c in sorted(map(_members, covers), key=lambda c: (len(c), c))]
+    return sorted(map(_members, covers), key=lambda c: (len(c), c))
 
 
 def minimal_primes_squarefree(I):
@@ -164,5 +175,6 @@ def minimal_primes_squarefree(I):
     """
     if not I.squarefree:
         raise ValueError("minimal primes require a squarefree monomial ideal")
-    return [tuple(I.ring.variables[i] for i in sorted(c))
-            for c in minimal_transversals(m.support() for m in I.generators)]
+    variables = I.ring.variables
+    return [tuple(variables[i] for i in c)
+            for c in _transversals(m.support() for m in I.generators)]

@@ -62,6 +62,14 @@ class Variable:
         order = "" if self.jet_order is None else str(self.jet_order)
         object.__setattr__(self, "name", _subscripted(self.base + order, subs))
 
+    @classmethod
+    def _trusted(cls, base, subscripts, jet_order, name):
+        """A variable on fields that pass the checks above, with its printed
+        name: `subscripts` is a tuple of naturals, and nothing is checked."""
+        v = object.__new__(cls)
+        v.__dict__.update(base=base, subscripts=subscripts, jet_order=jet_order, name=name)
+        return v
+
     def __str__(self):
         return self.name
 
@@ -84,8 +92,7 @@ class PolyRing:
     is used for weighted homogeneity checks.
     """
 
-    __slots__ = ("variables", "blocks", "weights", "_index", "_names", "_by_name",
-                 "_ends", "_hash")
+    __slots__ = ("variables", "blocks", "weights", "_names", "_by_name", "_ends", "_hash")
 
     def __init__(self, variables, blocks=None, weights=None):
         self.variables = tuple(variables)
@@ -105,20 +112,17 @@ class PolyRing:
             if len(weights) != n:
                 raise ValueError("need one weight per variable")
         self.weights = weights
-        self._index = {v: i for i, v in enumerate(self.variables)}
         self._ends = tuple(itertools.accumulate(size for _, size in self.blocks))
-        self._hash = hash((self.variables, self.blocks, self.weights))
+        # a name determines its Variable, so names stand in for the variables
+        self._hash = hash((self._names, self.blocks, self.weights))
 
     def index(self, v):
-        if isinstance(v, Variable):
-            try:
-                return self._index[v]
-            except KeyError:
-                raise ValueError(f"{v.name} is not a variable of {self}") from None
+        """The index of a variable, given as a Variable or by its name."""
+        name = v.name if isinstance(v, Variable) else v
         try:
-            return self._by_name[v]
+            return self._by_name[name]
         except KeyError:
-            raise ValueError(f"{v} is not a variable of {self}") from None
+            raise ValueError(f"{name} is not a variable of {self}") from None
 
     def zero(self):
         return Poly(self, {})
@@ -628,8 +632,9 @@ def _expand_range(name, name2, pos):
             raise ParseError("subscript range needs tuples of equal length", pos)
         if any(lo > hi for lo, hi in zip(subs, subs2)):
             raise ParseError("empty subscript range", pos)
-        axes = [range(lo, hi + 1) for lo, hi in zip(subs, subs2)]
-        return [Variable(base, t) for t in itertools.product(*axes)]
+        box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(subs, subs2)])
+        first = Variable(base, next(box))   # checks the base the whole box shares
+        return [first] + [Variable._trusted(base, t, None, _subscripted(base, t)) for t in box]
     if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
         raise ParseError("letter range needs single letters in order", pos)
     return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]

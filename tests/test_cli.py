@@ -1,6 +1,10 @@
+import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +169,43 @@ def test_main_semantic_error_exit_1(tmp_path, capsys):
 def test_main_missing_file_exit_1(tmp_path, capsys):
     assert main(["--script", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_non_utf8_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("ring R = [x]; ideal I = x; # caf\xe9\n".encode("latin-1"))
+    assert main(["--script", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: 'utf-8' codec can't decode byte 0xe9"
+                            " in position 32: invalid continuation byte\n")
+
+
+def test_main_non_utf8_stdin_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"ring R = [\xff];"),
+                                                       encoding="utf-8"))
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: <stdin>: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # `jetschemes | head -1`: the reader leaves after one line of a
+    # transcript far longer than a pipe holds (45,451 jet edges)
+    path = tmp_path / "long.txt"
+    path.write_text("graph G = a-b; graphjets 300 G;", encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "jetschemes", "--script", str(path)],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"[1] graph G = vertices a,b; edges a-b\n"
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_cli_and_library_agree(xyz_ideal):

@@ -7,12 +7,13 @@ from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, Variable,
                         chromatic_number, complement_graph, edge_ideal,
                         graph_from_edge_ideal, is_chordal, jets_graph,
                         jets_hypergraph, minimal_primes_squarefree,
-                        minimal_vertex_covers, monomial_str, parse_graph_text,
-                        parse_variables, ring_make)
+                        minimal_transversals, minimal_vertex_covers, monomial_str,
+                        parse_graph_text, parse_variables, ring_make)
 
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
-from oracles import (brute_chromatic, chordal_by_induced_cycles, goward_smith_jets_edges,
-                     jets_graph_by_terms, jets_hypergraph_by_terms, random_graph)
+from oracles import (brute_chromatic, brute_minimal_covers, chordal_by_induced_cycles,
+                     goward_smith_jets_edges, jets_graph_by_terms, jets_hypergraph_by_terms,
+                     random_graph)
 
 
 def _edge_names(G):
@@ -197,6 +198,35 @@ def test_graph_adjacency_masks():
         for i in range(len(G.vertices)):
             assert {j for j in range(len(G.vertices)) if G.adj[i] >> j & 1} == \
                 {j for e in G.edges if i in e for j in e if j != i}
+
+
+def test_trusted_graphs_match_the_validating_constructor():
+    # jets_graph and complement_graph build their graphs unchecked
+    rng = random.Random(31013)
+    for _ in range(300):
+        G = random_graph(rng, rng.randint(0, 10), rng.choice((0.2, 0.45, 0.8)))
+        for H in (jets_graph(rng.randint(0, 3), G), complement_graph(G)):
+            checked = Graph(H.vertices, H.edge_pairs())
+            assert H == checked and H.adj == checked.adj
+            assert type(H.vertices) is tuple and type(H.edges) is tuple
+            assert all(i < j for i, j in H.edges)
+
+
+def test_covers_match_the_frozenset_path():
+    # minimal_vertex_covers reads the kernel's member lists directly
+    rng = random.Random(31014)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            G = random_graph(rng, n)
+        else:
+            vertices = [Variable(ch) for ch in "abcdefghi"[:n]]
+            G = HyperGraph(vertices, [rng.sample(range(n), rng.randint(1, min(n, 4)))
+                                      for _ in range(rng.randint(1, 7))])
+        want = [tuple(G.vertices[i] for i in sorted(c)) for c in minimal_transversals(G.edges)]
+        assert minimal_vertex_covers(G) == want
+        assert want == [tuple(G.vertices[i] for i in sorted(c))
+                        for c in brute_minimal_covers(len(G.vertices), G.edges)]
 
 
 def test_complement_graph():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetschemes import (Ideal, Monomial, Poly, RingMap, compose, is_homogeneous,
-                        jet_ring, jets_ideal, jets_quotient, jets_ring_map,
+from jetschemes import (Ideal, Monomial, Poly, PolyRing, RingMap, Variable, compose,
+                        is_homogeneous, jet_ring, jets_ideal, jets_quotient, jets_ring_map,
                         parse_poly, parse_variables, ring_make, series_substitute)
 
 from expected import XYZ_JET2_GENERATORS
@@ -44,6 +44,34 @@ def test_jet_vars_are_the_ring_variables():
         for j in range(4):
             # the ring's own objects, not equal copies
             assert jr.jet_vars[v][j] is jr.ring.variables[j * n + k]
+
+
+@pytest.mark.parametrize("names", ["x,y,z", "a..f", "x_(1,1)..x_(2,3)",
+                                   "u,v_(0),w_(2,10),abc_(7,0,12)"])
+def test_jet_variables_match_the_validating_constructor(names):
+    # jet_ring builds its variables unchecked; each must be the Variable
+    # the validating constructor makes, name and hash included
+    R = ring_make(parse_variables(names))
+    n = len(R.variables)
+    for s in range(7):
+        J = jet_ring(R, s)
+        want = [Variable(v.base, v.subscripts, j) for j in range(s + 1) for v in R.variables]
+        assert len(J.ring.variables) == len(want) == n * (s + 1)
+        for k, (v, w) in enumerate(zip(J.ring.variables, want)):
+            assert v == w and hash(v) == hash(w), (v, w)
+            assert v.name == w.name and repr(v) == repr(w)
+            assert J.ring.index(w) == J.ring.index(w.name) == k
+        checked = PolyRing(want, J.ring.blocks, J.ring.weights)
+        assert J.ring == checked and hash(J.ring) == hash(checked)
+
+
+def test_ring_index_rejects_foreign_variables(xyz_ring):
+    with pytest.raises(ValueError, match="w is not a variable"):
+        xyz_ring.index(Variable("w"))
+    with pytest.raises(ValueError, match="x0 is not a variable"):
+        xyz_ring.index(Variable("x", (), 0))
+    with pytest.raises(ValueError, match="w is not a variable"):
+        xyz_ring.index("w")
 
 
 def test_jet_ring_rejects_jet_ring(xyz_ring):

@@ -232,6 +232,19 @@ def test_minimal_transversals_match_brute_force():
         assert minimal_transversals(e for e in shuffled) == want, shuffled
 
 
+def test_minimal_primes_match_the_frozenset_path():
+    # minimal_primes_squarefree reads the kernel's member lists directly
+    rng = random.Random(70702)
+    for _ in range(300):
+        n, edges = _random_family(rng)
+        ring = ring_make([Variable(ch) for ch in "abcdefgh"[:n]])
+        gens = [Monomial((i, 1) for i in set(e)) for e in edges]
+        I = MonomialIdeal(ring, gens)
+        want = [tuple(ring.variables[i] for i in sorted(c))
+                for c in minimal_transversals(m.support() for m in I.generators)]
+        assert minimal_primes_squarefree(I) == want, edges
+
+
 def test_minimal_transversals_special_families():
     assert minimal_transversals([(0, 1), (0, 1), (1, 0)]) == [frozenset({0}), frozenset({1})]
     assert minimal_transversals([(2, 2, 2)]) == [frozenset({2})]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,27 @@ def test_ring_make_subscripted_box():
     assert ring.variables[0].name == "x_(1,1)"
     assert ring.variables[1].name == "x_(1,2)"
     assert ring.variables[-1].name == "x_(3,3)"
+
+
+@pytest.mark.parametrize("text", ["x_(1,1)..x_(3,3)", "x_(0)..x_(12)", "ab_(2,0,5)..ab_(3,2,6)",
+                                  "y_(7,7)..y_(7,7)", "a,x_(0,1)..x_(1,2),b"])
+def test_box_ranges_match_the_validating_constructor(text):
+    # a box checks its base once and builds the rest of its variables unchecked
+    variables = parse_variables(text)
+    for v in variables:
+        w = Variable(v.base, v.subscripts)
+        assert v == w and hash(v) == hash(w) and v.name == w.name, (v, w)
+        assert type(v.subscripts) is tuple and all(type(t) is int for t in v.subscripts)
+    assert len(set(variables)) == len(variables)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1_(1)..x1_(2)", "variable base 'x1' ends in a digit"),
+    ("Z..a", "invalid variable base name '['"),
+])
+def test_ranges_still_check_their_bases(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_variables(text)
 
 
 def test_letter_range():
