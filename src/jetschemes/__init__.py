@@ -1,8 +1,8 @@
 """Jets of polynomial ideals, monomial ideals, and graphs over QQ."""
 
 from .poly import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
-                   is_homogeneous, monomial_str, parse_poly, parse_variables,
-                   ring_make, term_key)
+                   is_homogeneous, monomial_str, parse_poly, parse_polys,
+                   parse_variables, ring_make, term_key)
 from .jets import (JetIdeal, JetRing, RingMap, RingMapJets, TruncatedSeries,
                    compose, jet_ring, jets_ideal, jets_quotient, jets_ring_map,
                    series_substitute)
@@ -17,8 +17,8 @@ from .cli import emit_json, run_script
 
 __all__ = [
     "Ideal", "Monomial", "ParseError", "Poly", "PolyRing", "Variable",
-    "is_homogeneous", "monomial_str", "parse_poly", "parse_variables",
-    "ring_make", "term_key",
+    "is_homogeneous", "monomial_str", "parse_poly", "parse_polys",
+    "parse_variables", "ring_make", "term_key",
     "JetIdeal", "JetRing", "RingMap", "RingMapJets", "TruncatedSeries",
     "compose", "jet_ring", "jets_ideal", "jets_quotient", "jets_ring_map",
     "series_substitute",

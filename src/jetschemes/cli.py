@@ -28,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .poly import _IDENT, Ideal, ParseError, PolyRing, monomial_str, parse_poly, parse_variables
+from .poly import _IDENT, Ideal, ParseError, PolyRing, monomial_str, parse_polys, parse_variables
 from .jets import JetIdeal, jets_ideal
 from .monomial import MonomialIdeal, jets_radical, minimal_primes_squarefree
 from .graphs import Graph, chromatic_number, complement_graph, is_chordal, \
@@ -40,11 +40,11 @@ _BINDING_RE = re.compile(rf"(ideal|graph)\s+({_IDENT})\s*=\s*(.*)$", re.S)
 _MATRIX_RE = re.compile(
     rf"matrix\s+({_IDENT})\s*=\s*generic\s*\(\s*({_IDENT})\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$",
     re.S)
-_CMD_NAT_RE = re.compile(rf"(jets|jetsradical|graphjets|minors)\s+(\d+)\s+({_IDENT})\s*$")
-_CMD_RE = re.compile(rf"(minimalprimes|chromatic|covers|complement|chordal)\s+({_IDENT})\s*$")
+# a command, its natural argument (for the _NAT_COMMANDS only) and a name
+_CMD_RE = re.compile(rf"({_IDENT})\s+(?:(\d+)\s+)?({_IDENT})\s*$")
 
-_COMMANDS = ("jets", "jetsradical", "graphjets", "minors",
-             "minimalprimes", "chromatic", "covers", "complement", "chordal")
+_NAT_COMMANDS = ("jets", "jetsradical", "graphjets", "minors")
+_COMMANDS = _NAT_COMMANDS + ("minimalprimes", "chromatic", "covers", "complement", "chordal")
 # the commands whose result an ideal or a graph statement may bind
 _BINDABLE = {"ideal": ("jets", "jetsradical", "minors"), "graph": ("graphjets", "complement")}
 _IDEALS = (Ideal, MonomialIdeal)
@@ -97,23 +97,6 @@ def _split_statements(text):
         start = end + 1
 
 
-def _split_top_commas(text):
-    """Split on commas outside parentheses; yields (chunk, relative offset)."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append((text[start:i], start))
-            start = i + 1
-    parts.append((text[start:], start))
-    return parts
-
-
 def _rebased(exc, offset):
     return ParseError(exc.message, exc.pos + offset)
 
@@ -131,39 +114,34 @@ def _as_monomial_ideal(value, name):
 
 def _eval_command(stmt, offset, session):
     """Run a command statement; returns (canonical echo, result object)."""
-    m = _CMD_NAT_RE.fullmatch(stmt)
-    if m is not None:
-        cmd, nat, name = m.group(1), int(m.group(2)), m.group(3)
-        echo = f"{cmd} {m.group(2)} {name}"
-        if cmd == "jets":
-            value = session.lookup(name, _IDEALS, "an ideal")
-            if isinstance(value, MonomialIdeal):
-                value = value.to_ideal()
-            return echo, jets_ideal(nat, value).ideal
-        if cmd == "jetsradical":
-            return echo, jets_radical(nat, session.lookup(name, _IDEALS, "an ideal"))
-        if cmd == "graphjets":
-            return echo, jets_graph(nat, session.lookup(name, Graph, "a graph"))
-        if cmd == "minors":
-            matrix = session.lookup(name, GenericMatrix, "a matrix")
-            return echo, minors(nat, matrix)
     m = _CMD_RE.fullmatch(stmt)
-    if m is not None:
-        cmd, name = m.group(1), m.group(2)
-        echo = f"{cmd} {name}"
-        if cmd == "minimalprimes":
-            value = session.lookup(name, _IDEALS, "an ideal")
-            primes = minimal_primes_squarefree(_as_monomial_ideal(value, name))
-            return echo, _Groups("primes", primes)
-        G = session.lookup(name, Graph, "a graph")
-        if cmd == "chromatic":
-            return echo, chromatic_number(G)
-        if cmd == "covers":
-            return echo, _Groups("covers", minimal_vertex_covers(G))
-        if cmd == "complement":
-            return echo, complement_graph(G)
-        return echo, is_chordal(G)
-    raise ParseError("malformed command", offset)
+    if m is None or m[1] not in _COMMANDS or (m[2] is None) == (m[1] in _NAT_COMMANDS):
+        raise ParseError("malformed command", offset)
+    cmd, nat, name = m.groups()
+    echo = " ".join(filter(None, m.groups()))   # verbatim, as in "jets 007 I"
+    if cmd == "jets":
+        value = session.lookup(name, _IDEALS, "an ideal")
+        if isinstance(value, MonomialIdeal):
+            value = value.to_ideal()
+        return echo, jets_ideal(int(nat), value).ideal
+    if cmd == "jetsradical":
+        return echo, jets_radical(int(nat), session.lookup(name, _IDEALS, "an ideal"))
+    if cmd == "graphjets":
+        return echo, jets_graph(int(nat), session.lookup(name, Graph, "a graph"))
+    if cmd == "minors":
+        return echo, minors(int(nat), session.lookup(name, GenericMatrix, "a matrix"))
+    if cmd == "minimalprimes":
+        value = session.lookup(name, _IDEALS, "an ideal")
+        primes = minimal_primes_squarefree(_as_monomial_ideal(value, name))
+        return echo, _Groups("primes", primes)
+    G = session.lookup(name, Graph, "a graph")
+    if cmd == "chromatic":
+        return echo, chromatic_number(G)
+    if cmd == "covers":
+        return echo, _Groups("covers", minimal_vertex_covers(G))
+    if cmd == "complement":
+        return echo, complement_graph(G)
+    return echo, is_chordal(G)
 
 
 def to_record(result):
@@ -240,20 +218,16 @@ def _exec_statement(stmt, offset, session):
         if head == "graph":
             try:
                 G = parse_graph_text(body)
-            except ParseError as e:
-                raise _rebased(e, body_off) from None
             except ValueError as e:
                 raise ParseError(str(e), body_off) from None
             session.define(name, G)
             return _graph_echo(name, G), None
         if session.current_ring is None:
             raise ValueError("no ring defined yet")
-        gens = []
-        for chunk, rel in _split_top_commas(body):
-            try:
-                gens.append(parse_poly(chunk, session.current_ring))
-            except ParseError as e:
-                raise _rebased(e, body_off + rel) from None
+        try:
+            gens = parse_polys(body, session.current_ring)
+        except ParseError as e:
+            raise _rebased(e, body_off) from None
         ideal = Ideal(session.current_ring, gens)
         session.define(name, ideal)
         return f"ideal {name} = {ideal}", None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .poly import _IDENT, Monomial, ParseError, PolyRing, Variable
+from .poly import _IDENT, Monomial, PolyRing, Variable
 from .jets import jet_ring
 from .monomial import MonomialIdeal, _jet_supports, _members, _minimal_masks, _transversals
 

@@ -456,6 +456,7 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # Parsing: two grammars over one token cursor, which also parses `var`.
 #
+# polys  := poly { ',' poly }
 # poly   := ['-'] term { ('+'|'-') term }
 # term   := coeff { '*' factor } | factor { '*' factor }
 # factor := var [ '^' nat ]
@@ -549,6 +550,28 @@ def parse_poly(text, ring):
     Raises ParseError (with a position) on bad syntax or unknown variables.
     """
     cur = _Cursor(text)
+    f = _poly(cur, ring)
+    cur.expect_end()
+    return f
+
+
+def parse_polys(text, ring):
+    """Parse `text` as a comma-separated list of polynomials in `ring`.
+
+    The whole text is one cursor, so a comma inside a subscript stays part
+    of its name; as in `parse_poly`, a bad character anywhere in the text is
+    reported before a grammar error.
+    """
+    cur = _Cursor(text)
+    polys = [_poly(cur, ring)]
+    while cur.accept_sym(","):
+        polys.append(_poly(cur, ring))
+    cur.expect_end()
+    return polys
+
+
+def _poly(cur, ring):
+    """One `poly` read from `cur`, built in normal form."""
     terms = {}
     sign = -1 if cur.accept_sym("-") else 1
     while True:
@@ -565,9 +588,7 @@ def parse_poly(text, ring):
         elif cur.accept_sym("-"):
             sign = -1
         else:
-            break
-    cur.expect_end()
-    return Poly._trusted(ring, terms)
+            return Poly._trusted(ring, terms)
 
 
 def _term(cur, ring):

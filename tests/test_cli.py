@@ -34,6 +34,11 @@ def test_zero_ideal_script_has_empty_generator_block():
                      "[3] jets 3 I"]
 
 
+def test_comma_inside_a_spelled_out_subscript_stays_in_its_generator():
+    lines = run_script("ring R = [x,y,x_(1,2)]; ideal I = x _( 1 , 2 ), y^2;").splitlines()
+    assert lines[1] == "[2] ideal I = ideal(x_(1,2),y^2)"
+
+
 def test_graph_script_transcript():
     lines = run_script(GRAPH_SCRIPT).splitlines()
     assert lines[0].startswith("[1] graph G = vertices a,c,d,e,b;")

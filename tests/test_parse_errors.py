@@ -5,7 +5,9 @@ cursor; these rows hold their messages and 0-based offsets fixed.  A
 name written compactly ("y_(1,2)") is scanned as one token, but a stray
 one is still reported by its identifier alone, as when spelled out.  The
 `run_script` rows check that ring, ideal and graph bodies report offsets
-into the whole script.
+into the whole script.  An ideal body is a polynomial list,
+`polys := poly { ',' poly }`, read by one cursor: as in a ring body, its
+first bad character is reported before an earlier grammar error.
 """
 
 import pytest
@@ -64,6 +66,7 @@ VARIABLE_ERRORS = [
     ("c..a", "letter range needs single letters in order", 0),
 ]
 
+_XY12 = "ring R = [x,y,x_(1,2)]; ideal I = "   # an ideal body starts at offset 34
 SCRIPT_ERRORS = [
     ("ring R = [x, $];", "unexpected character '$'", 13),
     ("ring R = [a..c,x_(1,1)..x_(1,a)];", "expected a natural number", 29),
@@ -71,6 +74,13 @@ SCRIPT_ERRORS = [
     ("ring R = [x,y];\nideal I = x_(1), y;", "unknown variable x_(1)", 26),
     ("ring R = [x,y]; ideal I = x*y, (x+y);", "expected a coefficient or a variable", 31),
     ("ring R = [x_(1,1)..x_(2,2)];\nideal I = x_(1,1), x_(1,1) x_(2,2)^2;", "unexpected 'x'", 56),
+    (_XY12 + "x,;", "expected a coefficient or a variable", 36),
+    (_XY12 + ", x;", "expected a coefficient or a variable", 34),
+    (_XY12 + "x,,y;", "expected a coefficient or a variable", 36),
+    (_XY12 + " , x;", "expected a coefficient or a variable", 35),
+    (_XY12 + "x_(1, 2) y, x;", "unexpected 'y'", 43),
+    (_XY12 + "x*(y, x);", "expected a variable", 36),
+    (_XY12 + "x y, $;", "unexpected character '$'", 39),
     ("graph G = a-b, c;", "bad edge 'c', expected NAME-NAME", 10),
     ("graph G = vertices a\na-b;", "edge uses undeclared vertex b", 10),
     ("graph G = ;", "empty graph", 9),

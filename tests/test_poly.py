@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
-                        is_homogeneous, jet_ring, parse_poly, parse_variables,
-                        ring_make, term_key)
+                        is_homogeneous, jet_ring, parse_poly, parse_polys,
+                        parse_variables, ring_make, term_key)
 
 from oracles import (dense_from_poly, dense_mul, dense_poly_str, dense_term_key,
                      poly_from_terms, random_poly)
@@ -255,6 +255,27 @@ def test_parse_poly_matches_the_constructor_oracle():
             assert c == Fraction(c.numerator, c.denominator)
             assert all(e > 0 for _, e in m.exps) and m.exps == tuple(sorted(dict(m.exps).items()))
         assert parse_poly(str(f), ring) == f
+
+
+def test_parse_polys_matches_parse_poly_on_each_text():
+    # one cursor over the whole list: a comma inside a spelled-out subscript
+    # ("x _( 1 , 2 )") stays in its name, and only the others split the list
+    rings = [ring_make(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
+             jet_ring(ring_make(parse_variables("x,y_(1,2)")), 2).ring,
+             ring_make(parse_variables("x,y,z,w"))]
+    rng = random.Random(11)
+    spelled_commas = 0
+    for k in range(300):
+        ring = rings[k % 3]
+        texts = [_random_poly_text(rng, ring)[0] for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:   # a constant generator
+            texts.insert(rng.randint(0, len(texts)), _spaced(rng, [_padded(rng, rng.randint(0, 9))]))
+        text = texts[0]
+        for t in texts[1:]:
+            text += rng.choice([",", ", ", " , ", "\n,\t"]) + t
+        spelled_commas += re.sub(r"\w+_\(\d+(,\d+)*\)", "", text).count(",") - (len(texts) - 1)
+        assert parse_polys(text, ring) == [parse_poly(t, ring) for t in texts], text
+    assert spelled_commas > 100
 
 
 def test_spaced_or_padded_variable_ranges_equal_their_compact_forms():
