@@ -3,9 +3,8 @@
 from .poly import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
                    is_homogeneous, monomial_str, parse_poly, parse_polys,
                    parse_variables, ring_make, term_key)
-from .jets import (JetIdeal, JetRing, RingMap, RingMapJets, TruncatedSeries,
-                   compose, jet_ring, jets_ideal, jets_quotient, jets_ring_map,
-                   series_substitute)
+from .jets import (JetRing, RingMap, compose, jet_ring, jets_ideal, jets_quotient,
+                   jets_ring_map, series_substitute)
 from .monomial import (MonomialIdeal, is_monomial_ideal, jets_radical,
                        minimal_primes_squarefree, minimal_transversals,
                        minimalize)
@@ -19,9 +18,8 @@ __all__ = [
     "Ideal", "Monomial", "ParseError", "Poly", "PolyRing", "Variable",
     "is_homogeneous", "monomial_str", "parse_poly", "parse_polys",
     "parse_variables", "ring_make", "term_key",
-    "JetIdeal", "JetRing", "RingMap", "RingMapJets", "TruncatedSeries",
-    "compose", "jet_ring", "jets_ideal", "jets_quotient", "jets_ring_map",
-    "series_substitute",
+    "JetRing", "RingMap", "compose", "jet_ring", "jets_ideal", "jets_quotient",
+    "jets_ring_map", "series_substitute",
     "MonomialIdeal", "is_monomial_ideal", "jets_radical",
     "minimal_primes_squarefree", "minimal_transversals", "minimalize",
     "Graph", "HyperGraph", "chromatic_number", "complement_graph",

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 
 from .poly import _IDENT, Ideal, ParseError, PolyRing, monomial_str, parse_polys, parse_variables
-from .jets import JetIdeal, jets_ideal
+from .jets import jets_ideal
 from .monomial import MonomialIdeal, jets_radical, minimal_primes_squarefree
 from .graphs import Graph, chromatic_number, complement_graph, is_chordal, \
     jets_graph, minimal_vertex_covers, parse_graph_text
@@ -123,7 +123,7 @@ def _eval_command(stmt, offset, session):
         value = session.lookup(name, _IDEALS, "an ideal")
         if isinstance(value, MonomialIdeal):
             value = value.to_ideal()
-        return echo, jets_ideal(int(nat), value).ideal
+        return echo, jets_ideal(int(nat), value)
     if cmd == "jetsradical":
         return echo, jets_radical(int(nat), session.lookup(name, _IDEALS, "an ideal"))
     if cmd == "graphjets":
@@ -146,13 +146,12 @@ def _eval_command(stmt, offset, session):
 
 def to_record(result):
     """The JSON object of a command's result; its text lines derive from it."""
-    if isinstance(result, (Ideal, JetIdeal, MonomialIdeal)):
-        ring = result.ring.ring if isinstance(result, JetIdeal) else result.ring
+    if isinstance(result, _IDEALS):
         if isinstance(result, MonomialIdeal):
-            generators = [monomial_str(ring, m) for m in result.generators]
+            generators = [monomial_str(result.ring, m) for m in result.generators]
         else:
             generators = [str(g) for g in result.generators]
-        return {"kind": "ideal", "ring": [v.name for v in ring.variables],
+        return {"kind": "ideal", "ring": [v.name for v in result.ring.variables],
                 "generators": generators}
     if isinstance(result, Graph):
         return {"kind": "graph", "vertices": [v.name for v in result.vertices],

@@ -71,22 +71,6 @@ def jet_ring(base, s):
     return JetRing(base, s, ring, jet_vars)
 
 
-@dataclass(eq=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_s of a polynomial in t modulo t^(s+1)."""
-
-    ring: JetRing
-    coeffs: tuple
-
-    def __post_init__(self):
-        self.coeffs = tuple(self.coeffs)
-        if len(self.coeffs) != self.ring.order + 1:
-            raise ValueError("series needs exactly order+1 coefficients")
-
-    def __str__(self):
-        return " + ".join(f"({c})*t^{j}" for j, c in enumerate(self.coeffs))
-
-
 def _power_table(e, s):
     """(y_0 + y_1 t + ... + y_s t^s)^e modulo t^(s+1), on integers.
 
@@ -113,8 +97,8 @@ def _power_table(e, s):
 def series_substitute(f, jets):
     """Expand f at the truncated Taylor substitution of its variables.
 
-    Returns the TruncatedSeries whose j-th coefficient is the t^j part of
-    f(sum_j x_{1,j} t^j, ..., sum_j x_{n,j} t^j), for j = 0..s.
+    Returns the tuple of s+1 polynomials of the jet ring whose j-th entry
+    is the t^j part of f(sum_j x_{1,j} t^j, ..., sum_j x_{n,j} t^j).
 
     Since no two terms of the expansion share a jet monomial (see the
     module docstring), each term c*m of f contributes the t-degree
@@ -153,47 +137,24 @@ def series_substitute(f, jets):
             for exps, count in row:
                 mono_jet = Monomial._trusted(tuple(sorted(exps)))
                 terms[mono_jet] = coef if count == 1 else coef * count
-    return TruncatedSeries(jets, tuple(Poly._trusted(jets.ring, terms) for terms in out))
-
-
-@dataclass(eq=True)
-class JetIdeal:
-    """The ideal of s-jets: all coefficient polynomials of the generators.
-
-    Generators are grouped by source generator with the highest-order
-    coefficient first; vanishing coefficients are dropped.
-    """
-
-    ring: JetRing
-    source: Ideal
-    generators: tuple
-
-    @property
-    def ideal(self):
-        return Ideal(self.ring.ring, self.generators)
-
-    def __str__(self):
-        return "ideal(" + ",".join(str(g) for g in self.generators) + ")"
+    return tuple(Poly._trusted(jets.ring, terms) for terms in out)
 
 
 def jets_ideal(s, I):
-    """Jets of an ideal: the coefficients f_(i,j) of every generator, j <= s."""
+    """Jets of an ideal, as an ideal of the jet ring: the coefficients
+    f_(i,j), j <= s, of every generator, grouped by generator with the
+    highest order first; vanishing coefficients are dropped."""
     jets = jet_ring(I.ring, s)
-    gens = []
-    for f in I.generators:
-        coeffs = series_substitute(f, jets).coeffs
-        gens.extend(c for c in reversed(coeffs) if not c.is_zero())
-    return JetIdeal(jets, I, tuple(gens))
+    return Ideal(jets.ring, [c for f in I.generators
+                             for c in reversed(series_substitute(f, jets))])
 
 
 def jets_quotient(s, R, I):
-    """Jets of a quotient presentation (R, I), returned as the pair
-
-    (jet ring of R, jets of I)."""
+    """Jets of a quotient presentation (R, I): the pair (jet ring of R,
+    jets of I as an ideal of its ring)."""
     if I.ring != R:
         raise ValueError("ideal does not live in the given ring")
-    ji = jets_ideal(s, I)
-    return ji.ring, ji
+    return jet_ring(R, s), jets_ideal(s, I)
 
 
 @dataclass(eq=True)
@@ -236,30 +197,14 @@ def compose(outer, inner):
                    tuple(outer(g) for g in inner.images))
 
 
-@dataclass(eq=True)
-class RingMapJets:
-    """The map induced on jet rings: the order-j jet of x_k is sent to the
-
-    t^j coefficient of the expansion of the image of x_k."""
-
-    source: JetRing
-    target: JetRing
-    map: RingMap
-
-    def __call__(self, f):
-        return self.map(f)
-
-    @property
-    def images(self):
-        return self.map.images
-
-
 def jets_ring_map(s, phi):
-    """Apply the jet construction to a ring map."""
+    """The map induced on jet rings, between their polynomial rings: the
+    order-j jet of x_k goes to the t^j coefficient of the expansion of
+    the image of x_k."""
     source = jet_ring(phi.source, s)
     target = jet_ring(phi.target, s)
-    expansions = [series_substitute(g, target).coeffs for g in phi.images]
+    expansions = [series_substitute(g, target) for g in phi.images]
     images = tuple(expansions[k][j]
                    for j in range(s + 1)
                    for k in range(len(phi.source.variables)))
-    return RingMapJets(source, target, RingMap(source.ring, target.ring, images))
+    return RingMap(source.ring, target.ring, images)

@@ -33,6 +33,8 @@ class GenericMatrix:
 
 def generic_matrix(R, m, n):
     """Fill an m x n matrix with the first m*n variables of R, column-major."""
+    if m < 1 or n < 1:
+        raise ValueError(f"a {m}x{n} matrix needs at least one row and one column")
     if m * n > len(R.variables):
         raise ValueError(f"ring has {len(R.variables)} variables, need {m * n}")
     entries = tuple(tuple(R.var(j * m + i) for j in range(n)) for i in range(m))

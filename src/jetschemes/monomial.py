@@ -116,13 +116,15 @@ def jets_radical(s, I):
     """Radical of the ideal of s-jets of a monomial ideal, by the closed
     form of the module docstring, in canonical term order, largest first."""
     if isinstance(I, MonomialIdeal):
-        I = I.to_ideal()
-    if not is_monomial_ideal(I):
+        monomials = I.generators
+    elif is_monomial_ideal(I):
+        monomials = [m for f in I.generators for m in f._terms]
+    else:
         raise ValueError("jets_radical needs a monomial ideal")
     ring = jet_ring(I.ring, s).ring
     n = len(I.ring.variables)
-    supports = {Monomial._trusted(tuple((k, 1) for k in idx)) for f in I.generators
-                for m in f._terms for idx in _jet_supports(m.exps, s, n)}
+    supports = {Monomial._trusted(tuple((k, 1) for k in idx)) for m in monomials
+                for idx in _jet_supports(m.exps, s, n)}
     return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
                                       reverse=True))
 

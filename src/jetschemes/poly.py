@@ -270,9 +270,10 @@ def term_key(ring, mono):
 
 
 def monomial_str(ring, mono):
-    """Print factors in variable-list order, e.g. "y0*z0*x2" or "x^2*y"."""
+    """Print factors in variable-list order, e.g. "y0*z0*x2" or "x^2*y";
+    the monomial 1 prints as "1"."""
     names = ring._names
-    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono.exps])
+    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono.exps]) or "1"
 
 
 class Poly:
@@ -400,16 +401,15 @@ class Poly:
             return "0"
         out = []
         for m, c in self.items():
-            mono = monomial_str(self.ring, m)
             num, den = c.numerator, c.denominator
             sign = "-" if num < 0 else "+"
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if not mono:
+            if not m.exps:
                 out += (sign, mag)
             elif mag == "1":
-                out += (sign, mono)
+                out += (sign, monomial_str(self.ring, m))
             else:
-                out += (sign, mag, "*", mono)
+                out += (sign, mag, "*", monomial_str(self.ring, m))
         return "".join(out[1:] if out[0] == "+" else out)
 
     def __repr__(self):

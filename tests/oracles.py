@@ -171,7 +171,7 @@ def jets_radical_by_terms(s, I):
     if isinstance(I, MonomialIdeal):
         I = I.to_ideal()
     ji = jets_ideal(s, I)
-    ring = ji.ring.ring
+    ring = ji.ring
     supports = {Monomial((i, 1) for i, _ in m.exps)
                 for g in ji.generators for m in g._terms}
     return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),

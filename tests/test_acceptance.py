@@ -105,7 +105,7 @@ def test_criterion_8_determinantal_examples():
     assert [[str(e) for e in row] for row in M.entries] == GENERIC_3X3_ROWS
     j1 = jets_ideal(1, minors(1, M))
     assert {str(g) for g in j1.generators} == \
-        {v.name for v in j1.ring.ring.variables}
+        {v.name for v in j1.ring.variables}
     assert len(j1.generators) == 18
     assert len(jets_ideal(1, minors(3, M)).generators) == 2
     assert len(jets_ideal(1, minors(2, M)).generators) == 18
@@ -121,7 +121,7 @@ def test_criterion_9_series_oracle_equivalence(xyz_ring):
         f = random_poly(rng, xyz_ring)
         s = rng.randint(0, 3)
         J = jet_ring(xyz_ring, s)
-        coeffs = series_substitute(f, J).coeffs
+        coeffs = series_substitute(f, J)
         full = series_by_full_expansion(f, J)
         for j in range(s + 1):
             assert dense_from_poly(coeffs[j]) == full.get(j, {})
@@ -138,9 +138,9 @@ def test_criterion_10_invariant_suite(xyz_ring):
                      tuple(J3.jet_var(v, 0) for v in xyz_ring.variables))
     for _ in range(15):
         f = random_poly(rng, xyz_ring)
-        big = series_substitute(f, J3).coeffs
+        big = series_substitute(f, J3)
         for s in range(3):
-            small = series_substitute(f, jet_ring(xyz_ring, s)).coeffs
+            small = series_substitute(f, jet_ring(xyz_ring, s))
             for j in range(s + 1):
                 assert dense_from_poly(small[j], 12) == dense_from_poly(big[j], 12)
         assert big[0] == rename(f)
@@ -149,7 +149,7 @@ def test_criterion_10_invariant_suite(xyz_ring):
     homogeneous = parse_poly("x^2*y+3*x*y*z-z^3", xyz_ring)
     for s in range(4):
         J = jet_ring(xyz_ring, s)
-        for j, c in enumerate(series_substitute(homogeneous, J).coeffs):
+        for j, c in enumerate(series_substitute(homogeneous, J)):
             assert is_homogeneous(c, J.ring.weights)
             assert {m.weighted_degree(J.ring.weights) for m in c._terms} == {j}
             assert {m.degree() for m in c._terms} == {3}

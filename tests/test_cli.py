@@ -34,6 +34,16 @@ def test_zero_ideal_script_has_empty_generator_block():
                      "[3] jets 3 I"]
 
 
+def test_radical_of_the_unit_ideal_prints_its_generator():
+    script = "ring R = [x,y]; ideal I = 1; jetsradical 1 I;"
+    assert run_script(script).splitlines() == ["[1] ring R = QQ[x,y]",
+                                               "[2] ideal I = ideal(1)",
+                                               "[3] jetsradical 1 I",
+                                               "1"]
+    assert run_script(script, json_mode=True) == \
+        '{"generators":["1"],"kind":"ideal","ring":["x0","y0","x1","y1"]}'
+
+
 def test_comma_inside_a_spelled_out_subscript_stays_in_its_generator():
     lines = run_script("ring R = [x,y,x_(1,2)]; ideal I = x _( 1 , 2 ), y^2;").splitlines()
     assert lines[1] == "[2] ideal I = ideal(x_(1,2),y^2)"

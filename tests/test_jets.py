@@ -86,14 +86,14 @@ def test_series_xyz_order2(xyz_ring):
     series = series_substitute(f, J)
     expected = [parse_poly(text, J.ring)
                 for text in reversed(XYZ_JET2_GENERATORS)]
-    assert list(series.coeffs) == expected
+    assert list(series) == expected
 
 
 def test_series_single_variable():
     R = ring_make(parse_variables("x"))
     J = jet_ring(R, 1)
     series = series_substitute(R.var("x"), J)
-    assert [str(c) for c in series.coeffs] == ["x0", "x1"]
+    assert [str(c) for c in series] == ["x0", "x1"]
 
 
 def _assert_normal_form(c):
@@ -127,7 +127,7 @@ def test_series_matches_full_expansion(xyz_ring):
     rng = random.Random(20201)
     for f, s in _series_cases(rng, xyz_ring):
         J = jet_ring(f.ring, s)
-        coeffs = series_substitute(f, J).coeffs
+        coeffs = series_substitute(f, J)
         full = series_by_full_expansion(f, J)
         for j in range(s + 1):
             assert dense_from_poly(coeffs[j]) == full.get(j, {})
@@ -153,7 +153,7 @@ def test_series_matches_sympy_expand():
         images = [sum(names[J.ring.index(jv)] * t ** j for j, jv in enumerate(J.jet_vars[v]))
                   for v in R.variables]
         expanded = sympy.expand(to_sympy(f, images))
-        for j, c in enumerate(series_substitute(f, J).coeffs):
+        for j, c in enumerate(series_substitute(f, J)):
             assert sympy.expand(to_sympy(c, names) - expanded.coeff(t, j)) == 0
 
 
@@ -168,7 +168,7 @@ def test_jets_of_linear_forms_are_jet_variables():
     ji = jets_ideal(1, I)
     assert len(ji.generators) == 18
     assert {str(g) for g in ji.generators} == \
-        {v.name for v in ji.ring.ring.variables}
+        {v.name for v in ji.ring.variables}
 
 
 def test_jets_of_one_generator_has_order_plus_one_coefficients():
@@ -201,7 +201,7 @@ def test_jets_of_identity_map(xyz_ring):
     phi = RingMap.identity(xyz_ring)
     for s in (0, 1, 2):
         jphi = jets_ring_map(s, phi)
-        assert jphi.map == RingMap.identity(jphi.source.ring)
+        assert jphi == RingMap.identity(jphi.source)
 
 
 def test_jets_of_square_map():
@@ -209,10 +209,10 @@ def test_jets_of_square_map():
     T = ring_make(parse_variables("u"))
     phi = RingMap(R, T, (parse_poly("u^2", T),))
     jphi = jets_ring_map(1, phi)
-    target = jphi.target.ring
+    target = jphi.target
     assert list(jphi.images) == [parse_poly("u0^2", target),
                                  parse_poly("2*u0*u1", target)]
-    applied = jphi(parse_poly("x0*x1", jphi.source.ring))
+    applied = jphi(parse_poly("x0*x1", jphi.source))
     assert applied == parse_poly("2*u0^3*u1", target)
 
 
@@ -240,17 +240,17 @@ def test_jets_respect_composition():
         outer = _random_map(rng, B, C)
         s = rng.randint(0, 2)
         lhs = jets_ring_map(s, compose(outer, inner))
-        rhs = compose(jets_ring_map(s, outer).map, jets_ring_map(s, inner).map)
-        assert lhs.map == rhs
+        rhs = compose(jets_ring_map(s, outer), jets_ring_map(s, inner))
+        assert lhs == rhs
 
 
 def test_truncation_consistency(xyz_ring):
     rng = random.Random(20203)
     for _ in range(10):
         f = random_poly(rng, xyz_ring)
-        big = series_substitute(f, jet_ring(xyz_ring, 3)).coeffs
+        big = series_substitute(f, jet_ring(xyz_ring, 3))
         for s in range(3):
-            small = series_substitute(f, jet_ring(xyz_ring, s)).coeffs
+            small = series_substitute(f, jet_ring(xyz_ring, s))
             for j in range(s + 1):
                 assert dense_from_poly(small[j], 12) == dense_from_poly(big[j], 12)
 
@@ -262,7 +262,7 @@ def test_base_slice_is_order_zero_relabeling(xyz_ring):
                      tuple(J.jet_var(v, 0) for v in xyz_ring.variables))
     for _ in range(10):
         f = random_poly(rng, xyz_ring)
-        assert series_substitute(f, J).coeffs[0] == rename(f)
+        assert series_substitute(f, J)[0] == rename(f)
 
 
 def test_jet_weight_homogeneity(xyz_ring):
@@ -270,7 +270,7 @@ def test_jet_weight_homogeneity(xyz_ring):
     for _ in range(10):
         f = random_poly(rng, xyz_ring)
         J = jet_ring(xyz_ring, rng.randint(0, 3))
-        for j, c in enumerate(series_substitute(f, J).coeffs):
+        for j, c in enumerate(series_substitute(f, J)):
             assert is_homogeneous(c, J.ring.weights)
             if not c.is_zero():
                 assert {m.weighted_degree(J.ring.weights)
@@ -280,7 +280,7 @@ def test_jet_weight_homogeneity(xyz_ring):
 def test_degree_preservation_for_homogeneous_input(xyz_ring):
     f = parse_poly("x^2*y+3*x*y*z-z^3", xyz_ring)
     J = jet_ring(xyz_ring, 2)
-    for c in series_substitute(f, J).coeffs:
+    for c in series_substitute(f, J):
         assert not c.is_zero()
         assert {m.degree() for m in c._terms} == {3}
 
@@ -299,3 +299,25 @@ def test_series_ring_mismatch(xyz_ring):
     J = jet_ring(xyz_ring, 1)
     with pytest.raises(ValueError):
         series_substitute(other.var("u"), J)
+
+
+def test_jets_return_the_library_values(xyz_ring, xyz_ideal):
+    J = jet_ring(xyz_ring, 2)
+    series = series_substitute(parse_poly("x*y*z", xyz_ring), J)
+    assert type(series) is tuple and len(series) == 3
+    assert all(type(c) is Poly and c.ring == J.ring for c in series)
+    ji = jets_ideal(2, xyz_ideal)
+    assert type(ji) is Ideal and ji.ring == J.ring
+    jphi = jets_ring_map(2, RingMap.identity(xyz_ring))
+    assert type(jphi) is RingMap
+    assert jphi.source == jphi.target == J.ring
+
+
+def test_iterated_jets_are_refused(xyz_ring, xyz_ideal):
+    ji = jets_ideal(1, xyz_ideal)
+    with pytest.raises(ValueError, match="iterated jets"):
+        jets_ideal(1, ji)
+    with pytest.raises(ValueError, match="iterated jets"):
+        jets_ring_map(1, jets_ring_map(1, RingMap.identity(xyz_ring)))
+    with pytest.raises(ValueError, match="iterated jets"):
+        jets_quotient(1, ji.ring, ji)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from jetschemes import (generic_matrix, jets_ideal, minors, parse_variables,
-                        ring_make)
+                        ring_make, run_script)
 
 from expected import GENERIC_3X3_ROWS
 from oracles import leibniz_det
@@ -32,6 +32,15 @@ def test_generic_matrix_needs_enough_variables():
     ring = ring_make(parse_variables("a"))
     with pytest.raises(ValueError, match="need 4"):
         generic_matrix(ring, 2, 2)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0)])
+def test_generic_matrix_needs_a_row_and_a_column(m, n):
+    ring = ring_make(parse_variables("a,b"))
+    with pytest.raises(ValueError, match=f"a {m}x{n} matrix"):
+        generic_matrix(ring, m, n)
+    with pytest.raises(ValueError, match=f"a {m}x{n} matrix"):
+        run_script(f"ring R = [a,b]; matrix M = generic(R,{m},{n});")
 
 
 def test_minors_size1_are_entries(generic3):

@@ -86,6 +86,26 @@ def test_jets_radical_rejects_non_monomial(xyz_ring):
         jets_radical(1, I)
 
 
+def test_jets_radical_of_a_monomial_ideal_skips_to_ideal(monkeypatch):
+    R = ring_make(parse_variables("x,y"))
+    I = Ideal(R, [parse_poly("x^2*y", R), parse_poly("y^3", R)])
+    want = jets_radical(2, I)
+
+    def refuse(*args):
+        raise AssertionError("monomial ideal turned into polynomials")
+    monkeypatch.setattr(MonomialIdeal, "to_ideal", refuse)
+    assert jets_radical(2, _as_monomial_ideal(I)) == want
+
+
+def test_unit_and_zero_monomial_ideals_print_apart():
+    R = ring_make(parse_variables("x,y"))
+    unit = jets_radical(1, Ideal(R, [R.one()]))
+    assert [monomial_str(unit.ring, m) for m in unit.generators] == ["1"]
+    assert str(unit) == "ideal(1)"
+    assert str(MonomialIdeal(R, [])) == "ideal()"
+    assert str(jets_radical(1, Ideal(R, []))) == "ideal()"
+
+
 def _as_monomial_ideal(I):
     return MonomialIdeal(I.ring, [next(iter(f._terms)) for f in I.generators])
 
@@ -155,7 +175,7 @@ def test_jets_radical_matches_prime_intersection_oracle():
     for _ in range(12):
         I = random_squarefree_ideal(rng, ring, max_gens=3)
         ji = jets_ideal(1, I.to_ideal())
-        jring = ji.ring.ring
+        jring = ji.ring
         supports = [m.support() for g in ji.generators for m in g._terms]
         covers = brute_minimal_covers(len(jring.variables), supports)
         primes = [[jring.variables[i] for i in sorted(c)] for c in covers]
