@@ -6,7 +6,10 @@ again squarefree and quadratic, and the graph it encodes is the jets of
 the original graph: each vertex v acquires copies v0..vs, and by the
 closed form in `monomial`, u_a and v_b are adjacent iff uv is an edge and
 a + b <= s.  Jets of graphs and hypergraphs are built from that closed
-form on vertex indices, without going through an ideal.
+form on vertex indices, without going through an ideal.  The minimal
+vertex covers of a graph are the complements of its maximal independent
+sets, listed by Bron-Kerbosch on neighbor masks; those of a hypergraph
+come from Berge's transversal sweep in `monomial`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import re
 
 from .poly import _IDENT, Monomial, PolyRing, Variable
 from .jets import jet_ring
-from .monomial import MonomialIdeal, _jet_supports, _members, _minimal_masks, _transversals
+from .monomial import (MonomialIdeal, _by_size, _jet_supports, _members, _minimal_masks,
+                       _transversals)
 
 
 def _resolver(vertices):
@@ -257,11 +261,54 @@ def _colorable(adj, order, classes, pos):
 def minimal_vertex_covers(G):
     """All inclusion-minimal vertex covers, by size then vertex indices.
 
-    Works for graphs and hypergraphs alike, and agrees with the minimal
-    primes of the edge ideal.
+    They agree with the minimal primes of the edge ideal.  A Graph's
+    covers are the complements of its maximal independent sets, listed by
+    Bron-Kerbosch with the Tomita pivot (Tomita, Tanaka & Takahashi, Theor.
+    Comput. Sci. 2006); a HyperGraph's come from Berge's sweep in
+    `monomial`.
     """
     vertices = G.vertices
-    return [tuple(vertices[i] for i in c) for c in _transversals(G.edges)]
+    covers = _graph_covers(G.adj) if isinstance(G, Graph) else _transversals(G.edges)
+    return [tuple(vertices[i] for i in c) for c in covers]
+
+
+def _graph_covers(adj):
+    """The minimal vertex covers of the graph with neighbor masks `adj`, in
+    (size, members) order: the complements, within the vertices on an edge,
+    of the maximal independent sets.  Bron-Kerbosch lists those on
+    (chosen, candidates, excluded) masks.  The pivot, of the candidates and
+    excluded, has the most candidates among its non-neighbors, and only it
+    and its neighbors branch.  An explicit stack stands in for recursion as
+    deep as the n(s+1) vertices of a jets graph.
+    """
+    live = sum(1 << v for v, a in enumerate(adj) if a)
+    # the vertices on an edge, other than v, that are not adjacent to v
+    apart = [live & ~(a | 1 << v) for v, a in enumerate(adj)]
+    covers = []
+    stack = [(0, live, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
+        if not cand:
+            if not excl:
+                covers.append(live ^ chosen)
+            continue
+        most = -1
+        rest = cand | excl
+        while rest:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            k = (cand & apart[u]).bit_count()
+            if k > most:
+                pivot, most = u, k
+        branch = cand & ~apart[pivot]
+        while branch:
+            v = branch.bit_length() - 1
+            b = 1 << v
+            branch ^= b
+            stack.append((chosen | b, cand & apart[v], excl & apart[v]))
+            cand ^= b
+            excl |= b
+    return _by_size(covers)
 
 
 _EDGE_RE = re.compile(rf"\s*({_IDENT})\s*-\s*({_IDENT})\s*$")

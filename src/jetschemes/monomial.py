@@ -165,7 +165,14 @@ def _transversals(edges):
                 else:
                     grown.append(c | b)
         covers = hitting + grown
-    return sorted(map(_members, covers), key=lambda c: (len(c), c))
+    return _by_size(covers)
+
+
+def _by_size(masks):
+    """The members of each mask, in (size, members) order."""
+    out = sorted(map(_members, masks))
+    out.sort(key=len)   # stable: members order within each size
+    return out
 
 
 def minimal_primes_squarefree(I):

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 
@@ -213,20 +214,32 @@ def test_trusted_graphs_match_the_validating_constructor():
 
 
 def test_covers_match_the_frozenset_path():
-    # minimal_vertex_covers reads the kernel's member lists directly
+    # graphs go by Bron-Kerbosch, hypergraphs by Berge; both must give
+    # Berge's frozensets and the brute force, in (size, members) order
     rng = random.Random(31014)
-    for _ in range(300):
+    graphs = [random_graph(rng, 0), random_graph(rng, 5, 0)]   # no vertex, no edge
+    jets = 0
+    while len(graphs) < 300:
         n = rng.randint(1, 9)
-        if rng.random() < 0.5:
-            G = random_graph(rng, n)
-        else:
-            vertices = [Variable(ch) for ch in "abcdefghi"[:n]]
-            G = HyperGraph(vertices, [rng.sample(range(n), rng.randint(1, min(n, 4)))
-                                      for _ in range(rng.randint(1, 7))])
+        G = random_graph(rng, n, rng.choice((0.15, 0.45, 0.8)))
+        s = rng.randint(1, 3)
+        if n * (s + 1) <= 16 and rng.random() < 0.3:
+            G = jets_graph(s, G)
+            jets += 1
+        graphs.append(G)
+    assert jets > 40 and sum(0 in G.adj and len(G.edges) > 0 for G in graphs) > 30
+    hypergraphs = []
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        vertices = [Variable(ch) for ch in "abcdefghi"[:n]]
+        hypergraphs.append(HyperGraph(vertices, [rng.sample(range(n), rng.randint(1, min(n, 4)))
+                                                 for _ in range(rng.randint(1, 7))]))
+    for G in graphs + hypergraphs:
         want = [tuple(G.vertices[i] for i in sorted(c)) for c in minimal_transversals(G.edges)]
         assert minimal_vertex_covers(G) == want
         assert want == [tuple(G.vertices[i] for i in sorted(c))
                         for c in brute_minimal_covers(len(G.vertices), G.edges)]
+    assert minimal_vertex_covers(graphs[0]) == minimal_vertex_covers(graphs[1]) == [()]
 
 
 def test_complement_graph():
@@ -349,19 +362,61 @@ def test_covers_of_jets_of_cycles(s, n, count):
             assert not all(e & (mask ^ 1 << i) for e in edges)
 
 
-@pytest.mark.parametrize("s, n", [(2, 12), (3, 10)])
-def test_covers_of_jets_of_cycles_match_networkx(s, n):
-    # the minimal vertex covers are the complements of the maximal
-    # independent sets, which are the maximal cliques of the complement
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_covers_of_jets_match_networkx(s):
+    # the minimal vertex covers are the complements, within the vertices on
+    # an edge, of the maximal independent sets, which are the maximal
+    # cliques of the complement
     nx = pytest.importorskip("networkx")
-    G = jets_graph(s, _cycle(n))
-    H = nx.Graph()
-    H.add_nodes_from(range(len(G.vertices)))
-    H.add_edges_from(G.edges)
-    everything = set(range(len(G.vertices)))
-    want = {frozenset(everything - set(q)) for q in nx.find_cliques(nx.complement(H))}
-    index = {v: i for i, v in enumerate(G.vertices)}
-    assert {frozenset(index[v] for v in c) for c in minimal_vertex_covers(G)} == want
+    rng = random.Random(31016)
+    graphs = [_cycle(10 if s == 3 else 12)]
+    graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.45))) for _ in range(50)]
+    for G in graphs + [jets_graph(s, G) for G in graphs]:
+        live = {i for e in G.edges for i in e}
+        H = nx.Graph()
+        H.add_nodes_from(live)
+        H.add_edges_from(G.edges)
+        # with no vertex on an edge, networkx finds no clique; the one cover is empty
+        want = {frozenset(live - set(q)) for q in nx.find_cliques(nx.complement(H))}
+        index = {v: i for i, v in enumerate(G.vertices)}
+        got = {frozenset(index[v] for v in c) for c in minimal_vertex_covers(G)}
+        assert got == (want or {frozenset()})
+
+
+def _very_well_covered(G):
+    """All minimal vertex covers hold half the vertices (G has no isolated vertex)."""
+    return {2 * len(c) for c in minimal_vertex_covers(G)} == {len(G.vertices)}
+
+
+def test_jets_graphs_are_well_covered_iff_very_well_covered():
+    # Galetto, Iammarino & Yu, "Jets and principal components of monomial
+    # ideals, and very well-covered graphs": for s = 1, 2 and G with no
+    # isolated vertex, jets_graph(s, G) is well-covered (all minimal covers
+    # have one size) iff G is very well-covered, and then so is the jets graph
+    graphs = []
+    for n in range(2, 6):
+        vertices = [Variable(ch) for ch in "abcde"[:n]]
+        pairs = list(combinations(range(n), 2))
+        for k in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if k >> i & 1]
+            if len({v for e in edges for v in e}) == n:
+                graphs.append(Graph(vertices, edges))
+    assert len(graphs) == 814
+    rng = random.Random(31017)
+    while len(graphs) < 1000:
+        G = random_graph(rng, 6)
+        if 0 not in G.adj:
+            graphs.append(G)
+    very = 0
+    for G in graphs:
+        expected = _very_well_covered(G)
+        very += expected
+        for s in (1, 2):
+            J = jets_graph(s, G)
+            well_covered = len({len(c) for c in minimal_vertex_covers(J)}) == 1
+            assert well_covered == expected
+            assert not well_covered or _very_well_covered(J)
+    assert very > 20
 
 
 def test_parse_graph_text_by_appearance():
