@@ -42,6 +42,8 @@ _MATRIX_RE = re.compile(
     re.S)
 # a command, its natural argument (for the _NAT_COMMANDS only) and a name
 _CMD_RE = re.compile(rf"({_IDENT})\s+(?:(\d+)\s+)?({_IDENT})\s*$")
+# a bound command's word, alone or before an argument ("jets * x" is a body)
+_BOUND_COMMAND_RE = re.compile(rf"({_IDENT})(?:\s+[A-Za-z0-9]|\Z)")
 
 _NAT_COMMANDS = ("jets", "jetsradical", "graphjets", "minors")
 _COMMANDS = _NAT_COMMANDS + ("minimalprimes", "chromatic", "covers", "complement", "chordal")
@@ -177,13 +179,6 @@ def emit_json(result):
     return json.dumps(to_record(result), sort_keys=True, separators=(",", ":"))
 
 
-def _graph_echo(name, G):
-    record = to_record(G)
-    vs = ",".join(record["vertices"])
-    es = ",".join(_text_lines(record))
-    return f"graph {name} = vertices {vs}; edges {es}".rstrip()
-
-
 def _exec_statement(stmt, offset, session):
     """Execute one statement; returns (echo, result or None).
 
@@ -210,17 +205,20 @@ def _exec_statement(stmt, offset, session):
             raise ParseError(f"malformed {head} statement", offset)
         name, body = m.group(2), m.group(3)
         body_off = offset + m.start(3)
-        if (body.split(None, 1) or [""])[0] in _BINDABLE[head]:
-            echo, result = _eval_command(body.strip(), body_off, session)
+        m = _BOUND_COMMAND_RE.match(body)
+        if m and m[1] in _BINDABLE[head]:
+            echo, result = _eval_command(body, body_off, session)
             session.define(name, result)
             return f"{head} {name} = {echo}", None
         if head == "graph":
             try:
                 G = parse_graph_text(body)
+            except ParseError as e:
+                raise _rebased(e, body_off) from None
             except ValueError as e:
                 raise ParseError(str(e), body_off) from None
             session.define(name, G)
-            return _graph_echo(name, G), None
+            return f"graph {name} = {G}", None
         if session.current_ring is None:
             raise ValueError("no ring defined yet")
         try:

@@ -14,9 +14,7 @@ come from Berge's transversal sweep in `monomial`.
 
 from __future__ import annotations
 
-import re
-
-from .poly import _IDENT, Monomial, PolyRing, Variable
+from .poly import Monomial, PolyRing, Variable, _Cursor, _split_name, _variables
 from .jets import jet_ring
 from .monomial import (MonomialIdeal, _by_size, _jet_supports, _members, _minimal_masks,
                        _transversals)
@@ -87,9 +85,8 @@ class Graph:
 
     def __str__(self):
         vs = ",".join(v.name for v in self.vertices)
-        es = ",".join(f"{self.vertices[i].name}-{self.vertices[j].name}"
-                      for i, j in self.edges)
-        return f"graph({vs}; {es})"
+        es = ",".join(f"{u.name}-{v.name}" for u, v in self.edge_pairs())
+        return f"vertices {vs}; edges {es}".rstrip()   # no space after an empty edge list
 
     def __repr__(self):
         return f"Graph({self})"
@@ -311,42 +308,39 @@ def _graph_covers(adj):
     return _by_size(covers)
 
 
-_EDGE_RE = re.compile(rf"\s*({_IDENT})\s*-\s*({_IDENT})\s*$")
-
-
 def parse_graph_text(text):
-    """Parse a graph from text: edges like "a-c" separated by commas or
+    """Parse a graph body, `graph := [ 'vertices' vars ] { ',' | var '-' var }`.
 
-    newlines, optionally preceded by a header line "vertices a,b,c,d,e".
-    Without a header, vertices are collected in order of appearance.
+    Edges "u-v" are split by commas or whitespace.  Vertices follow the
+    `var` rule and come in order of appearance, unless a header lists them
+    as a ring body lists its variables.  Token errors are ParseErrors at
+    their token; an undeclared vertex, loop, duplicate vertex, empty graph
+    or base name ending in a digit is a ValueError.  So a header split by
+    whitespace ("vertices a b c") or followed by a comma ("vertices a,b\n,a-b")
+    is an error, while edges split only by spaces ("a-b c-d"), a range in
+    the header ("vertices a..d"), a subscripted vertex ("x_(1)-a") and a
+    first edge "vertices - a" are read as graphs.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    names = []
-    declared = False
-    if lines and lines[0].split(None, 1)[0] == "vertices":
-        declared = True
-        rest = lines[0][len("vertices"):]
-        names = [w for w in re.split(r"[\s,]+", rest) if w]
-        if not names:
-            raise ValueError("empty vertex header")
-        lines = lines[1:]
-    items = [item for ln in lines for item in ln.split(",") if item.strip()]
-    seen = set(names)
+    cur = _Cursor(text)
+    kind, value, _ = cur.peek()
+    declared = kind == "ident" and value == "vertices" and cur.tokens[1][1] != "-"
+    cur.i = int(declared)   # past the header's "vertices"
+    vertices = _variables(cur) if declared else []
+    index = {v.name: i for i, v in enumerate(vertices)}
     edges = []
-    for item in items:
-        m = _EDGE_RE.match(item)
-        if m is None:
-            raise ValueError(f"bad edge {item.strip()!r}, expected NAME-NAME")
-        u, w = m.group(1), m.group(2)
+    while cur.peek()[0] != "end":
+        if cur.accept_sym(","):
+            continue
+        u = cur.name("a vertex name")[0]
+        cur.expect_sym("-")
+        w = cur.name("a vertex name")[0]
         for name in (u, w):
-            if name not in seen:
+            if name not in index:
                 if declared:
                     raise ValueError(f"edge uses undeclared vertex {name}")
-                seen.add(name)
-                names.append(name)
-        edges.append((u, w))
-    if not names:
+                index[name] = len(vertices)
+                vertices.append(Variable(*_split_name(name)))
+        edges.append((index[u], index[w]))
+    if not vertices:
         raise ValueError("empty graph")
-    vertices = [Variable(name) for name in names]
-    by_name = {v.name: v for v in vertices}
-    return Graph(vertices, [(by_name[u], by_name[w]) for u, w in edges])
+    return Graph(vertices, edges)

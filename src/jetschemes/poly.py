@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-_IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names, binding names and graph vertices
+_IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names and binding names
 _IDENT_RE = re.compile(_IDENT)
 
 
@@ -454,7 +454,7 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Parsing: two grammars over one token cursor, which also parses `var`.
+# Parsing: three grammars over one token cursor, which also parses `var`.
 #
 # polys  := poly { ',' poly }
 # poly   := ['-'] term { ('+'|'-') term }
@@ -465,6 +465,8 @@ class Ideal:
 #
 # vars   := range { ',' range }
 # range  := var [ '..' var ]
+#
+# graph  := [ 'vertices' vars ] { ',' | var '-' var }   ("vertices-a" is an edge)
 #
 # A var written compactly ("x_(1,12)": no spaces, no leading zeros) is
 # scanned whole as one ident token, whose text is its name; any other
@@ -480,7 +482,7 @@ _TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT}(?:_\({_NAT}(?:,{
 
 
 class _Cursor:
-    """The tokens of one text, read left to right by both grammars."""
+    """The tokens of one text, read left to right by every grammar."""
 
     def __init__(self, text):
         self.tokens = tokens = []
@@ -631,6 +633,13 @@ def _factor(cur, ring, exps):
 def parse_variables(text):
     """Parse a comma-separated variable list, expanding `..` ranges."""
     cur = _Cursor(text)
+    result = _variables(cur)
+    cur.expect_end()
+    return result
+
+
+def _variables(cur):
+    """One `vars` read from `cur`, its ranges expanded into Variables."""
     result = []
     while True:
         name, pos = cur.name("a variable name")
@@ -639,9 +648,7 @@ def parse_variables(text):
         else:
             result.append(Variable(*_split_name(name)))
         if not cur.accept_sym(","):
-            break
-    cur.expect_end()
-    return result
+            return result
 
 
 def _expand_range(name, name2, pos):

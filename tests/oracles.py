@@ -7,6 +7,7 @@ full subset scan, determinants from the permutation sum, chordality from
 induced-cycle enumeration, and colorings from exhaustive assignment.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -131,6 +132,45 @@ def series_by_full_expansion(f, jr):
     for e, c in total.items():
         by_degree.setdefault(e[-1], {})[e[:-1]] = c
     return by_degree
+
+
+# --- graph text --------------------------------------------------------------
+
+_GRAPH_EDGE_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*-\s*([A-Za-z][A-Za-z0-9]*)\s*$")
+
+
+def parse_graph_text_by_regex(text):
+    """The line-and-comma splitter that read graph bodies before the token
+    cursor did: an optional first line "vertices a,b,c" split on commas and
+    whitespace, then one NAME-NAME edge per comma-separated item."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    names = []
+    declared = False
+    if lines and lines[0].split(None, 1)[0] == "vertices":
+        declared = True
+        names = [w for w in re.split(r"[\s,]+", lines[0][len("vertices"):]) if w]
+        if not names:
+            raise ValueError("empty vertex header")
+        lines = lines[1:]
+    items = [item for ln in lines for item in ln.split(",") if item.strip()]
+    seen = set(names)
+    edges = []
+    for item in items:
+        m = _GRAPH_EDGE_RE.match(item)
+        if m is None:
+            raise ValueError(f"bad edge {item.strip()!r}, expected NAME-NAME")
+        for name in m.groups():
+            if name not in seen:
+                if declared:
+                    raise ValueError(f"edge uses undeclared vertex {name}")
+                seen.add(name)
+                names.append(name)
+        edges.append(m.groups())
+    if not names:
+        raise ValueError("empty graph")
+    vertices = [Variable(name) for name in names]
+    by_name = {v.name: v for v in vertices}
+    return Graph(vertices, [(by_name[u], by_name[w]) for u, w in edges])
 
 
 # --- combinatorial oracles ---------------------------------------------------

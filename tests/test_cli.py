@@ -126,6 +126,14 @@ def test_statement_spanning_lines_with_vertex_header():
     assert lines[2] == "2"
 
 
+def test_binding_bodies_that_start_with_a_command_word():
+    # a command word followed by an operator begins a graph or an ideal body
+    assert run_script("graph G = complement - a;") == \
+        "[1] graph G = vertices complement,a; edges complement-a"
+    lines = run_script("ring R = [jets,x]; ideal I = jets * x;").splitlines()
+    assert lines[1] == "[2] ideal I = ideal(jets*x)"
+
+
 def test_rebinding_a_name_is_an_error():
     with pytest.raises(ValueError, match="already defined"):
         run_script("ring R = [x]; ring R = [y];")

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, Variable,
+from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, ParseError, Variable,
                         chromatic_number, complement_graph, edge_ideal,
                         graph_from_edge_ideal, is_chordal, jets_graph,
                         jets_hypergraph, minimal_primes_squarefree,
@@ -14,7 +14,7 @@ from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, Variable,
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
 from oracles import (brute_chromatic, brute_minimal_covers, chordal_by_induced_cycles,
                      goward_smith_jets_edges, jets_graph_by_terms, jets_hypergraph_by_terms,
-                     random_graph)
+                     parse_graph_text_by_regex, random_graph)
 
 
 def _edge_names(G):
@@ -437,8 +437,78 @@ def test_parse_graph_text_rejects_undeclared():
 
 
 def test_parse_graph_text_rejects_bad_edge():
-    with pytest.raises(ValueError, match="expected NAME-NAME"):
+    with pytest.raises(ParseError, match="expected a vertex name"):
         parse_graph_text("a--b")
+
+
+def test_graph_prints_as_its_body():
+    G = parse_graph_text("b-a, c-a")
+    assert str(G) == "vertices b,a,c; edges b-a,a-c"
+    assert repr(G) == "Graph(vertices b,a,c; edges b-a,a-c)"
+    assert str(parse_graph_text("vertices a,b")) == "vertices a,b; edges"
+
+
+def _random_graph_body(rng):
+    """A body in a form both graph parsers read alike, and whether it has a header."""
+    names = rng.sample(("a", "b", "c", "d", "xy", "vertices"), rng.randint(2, 6))
+    pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
+    header = rng.random() < 0.5
+    items = []
+    for u, w in rng.sample(pairs, rng.randint(0 if header else 1, len(pairs))):
+        if rng.random() < 0.5:
+            u, w = w, u
+        items.append(u + rng.choice(("-", " -", "- ", "  -  ")) + w)
+    seps = (",", "\n", ",\n", "\n,", ", ", ",,", " ,\n\n")
+    edges = "".join(item + rng.choice(seps) for item in items)
+    if rng.random() < 0.5:
+        edges = edges[:-1]   # a trailing separator or part of one
+    if header:
+        listed = rng.choice((",", ", ", " ,")).join(rng.sample(names, len(names)))
+        return "vertices " + listed + rng.choice(("\n", " \n", "\n\n")) + edges, True
+    return rng.choice(("", ",", "\n", " ,")) + edges, False
+
+
+def test_parse_graph_text_matches_the_regex_splitter():
+    rng = random.Random(14)
+    kept = headers = 0
+    for _ in range(600):
+        body, header = _random_graph_body(rng)
+        if not header and body.split(None, 1)[0] == "vertices":
+            continue   # "vertices - a" first: the splitter read a header
+        assert parse_graph_text(body) == parse_graph_text_by_regex(body), body
+        kept += 1
+        headers += header
+    assert kept > 500 and 200 < headers < kept - 200
+
+
+def _parses(parse, body):
+    try:
+        return parse(body)
+    except ValueError:
+        return None
+
+
+def test_graph_bodies_whose_meaning_changed():
+    # (body, what the token cursor reads, or None if it rejects the body);
+    # the regex splitter did the opposite with each of them
+    changed = [
+        ("vertices a b c\na-b", None),
+        ("vertices a,b\n,a-b", None),
+        ("vertices a,b,\na-b", None),
+        ("a-b c-d", "a-b,c-d"),
+        ("vertices a..d\na-b", "vertices a,b,c,d\na-b"),
+        ("vertices - a", "vertices-a"),
+    ]
+    for body, same in changed:
+        if same is None:
+            assert _parses(parse_graph_text, body) is None, body
+            assert _parses(parse_graph_text_by_regex, body) is not None, body
+        else:
+            assert parse_graph_text(body) == parse_graph_text_by_regex(same), body
+            assert _parses(parse_graph_text_by_regex, body) is None, body
+    assert _parses(parse_graph_text_by_regex, "x_(1)-a") is None
+    G = parse_graph_text("x_(1)-a")
+    assert G.vertices == (Variable("x", (1,)), Variable("a"))
 
 
 def test_graph_rejects_loop():

@@ -1,13 +1,16 @@
-"""Every ParseError site of the two text grammars, pinned by message and offset.
+"""Every ParseError site of the three text grammars, pinned by message and offset.
 
-The polynomial grammar and the variable-list grammar share one token
-cursor; these rows hold their messages and 0-based offsets fixed.  A
-name written compactly ("y_(1,2)") is scanned as one token, but a stray
-one is still reported by its identifier alone, as when spelled out.  The
-`run_script` rows check that ring, ideal and graph bodies report offsets
-into the whole script.  An ideal body is a polynomial list,
-`polys := poly { ',' poly }`, read by one cursor: as in a ring body, its
-first bad character is reported before an earlier grammar error.
+The polynomial grammar, the variable-list grammar and the graph grammar
+share one token cursor; these rows hold their messages and 0-based
+offsets fixed.  A name written compactly ("y_(1,2)") is scanned as one
+token, but a stray one is still reported by its identifier alone, as when
+spelled out.  The `run_script` rows check that ring, ideal and graph
+bodies report offsets into the whole script.  An ideal body is a
+polynomial list, `polys := poly { ',' poly }`, read by one cursor: as in
+a ring body, its first bad character is reported before an earlier
+grammar error.  A graph body, `graph := [ 'vertices' vars ] { ',' | var
+'-' var }`, reports its token errors at their token, and an undeclared
+vertex or an empty graph at the start of the body.
 """
 
 import pytest
@@ -81,11 +84,16 @@ SCRIPT_ERRORS = [
     (_XY12 + "x_(1, 2) y, x;", "unexpected 'y'", 43),
     (_XY12 + "x*(y, x);", "expected a variable", 36),
     (_XY12 + "x y, $;", "unexpected character '$'", 39),
-    ("graph G = a-b, c;", "bad edge 'c', expected NAME-NAME", 10),
+    ("graph G = a-b, c;", "expected '-'", 16),
+    ("graph G = a-$;", "unexpected character '$'", 12),
+    ("graph G = a--b;", "expected a vertex name", 12),
+    ("graph G = vertices;", "expected a variable name", 18),
+    ("graph G = vertices a b c\na-b;", "expected '-'", 23),
     ("graph G = vertices a\na-b;", "edge uses undeclared vertex b", 10),
     ("graph G = ;", "empty graph", 9),
     ("ring R = [x]; graph G = \n , ;", "empty graph", 26),
     ("ring R = [x]; ideal I = x; ideal J = jets x I;", "malformed command", 37),
+    ("graph G = a-b; graph H = complement;", "malformed command", 25),
     ("ring R = [x]; ideal I = x; jets 1 I; jets I;", "malformed command", 37),
     ("ring R = [x]; ideal I = x; foo I;", "unknown statement 'foo'", 27),
     ("ring R = x;", "malformed ring statement", 0),
