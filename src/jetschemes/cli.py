@@ -24,31 +24,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
 
-from .poly import _IDENT, Ideal, ParseError, PolyRing, monomial_str, parse_polys, parse_variables
+from .poly import Ideal, ParseError, PolyRing, _Cursor, _polys, _variables, monomial_str
 from .jets import jets_ideal
-from .monomial import MonomialIdeal, jets_radical, minimal_primes_squarefree
-from .graphs import Graph, chromatic_number, complement_graph, is_chordal, \
-    jets_graph, minimal_vertex_covers, parse_graph_text
+from .monomial import MonomialIdeal, is_monomial_ideal, jets_radical, minimal_primes_squarefree
+from .graphs import Graph, _graph, chromatic_number, complement_graph, is_chordal, \
+    jets_graph, minimal_vertex_covers
 from .matrices import GenericMatrix, generic_matrix, minors
-
-_RING_RE = re.compile(rf"ring\s+({_IDENT})\s*=\s*\[(.*)\]\s*$", re.S)
-_BINDING_RE = re.compile(rf"(ideal|graph)\s+({_IDENT})\s*=\s*(.*)$", re.S)
-_MATRIX_RE = re.compile(
-    rf"matrix\s+({_IDENT})\s*=\s*generic\s*\(\s*({_IDENT})\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$",
-    re.S)
-# a command, its natural argument (for the _NAT_COMMANDS only) and a name
-_CMD_RE = re.compile(rf"({_IDENT})\s+(?:(\d+)\s+)?({_IDENT})\s*$")
-# a bound command's word, alone or before an argument ("jets * x" is a body)
-_BOUND_COMMAND_RE = re.compile(rf"({_IDENT})(?:\s+[A-Za-z0-9]|\Z)")
 
 _NAT_COMMANDS = ("jets", "jetsradical", "graphjets", "minors")
 _COMMANDS = _NAT_COMMANDS + ("minimalprimes", "chromatic", "covers", "complement", "chordal")
-# the commands whose result an ideal or a graph statement may bind
-_BINDABLE = {"ideal": ("jets", "jetsradical", "minors"), "graph": ("graphjets", "complement")}
+# the heads of binding statements, each with the commands whose result it may bind
+_BINDABLE = {"ring": (), "ideal": ("jets", "jetsradical", "minors"),
+             "graph": ("graphjets", "complement")}
 _IDEALS = (Ideal, MonomialIdeal)
 
 
@@ -82,68 +72,70 @@ class Session:
 
 
 def _split_statements(text):
-    statements = []
-    start = 0
-    while True:
-        end = text.find(";", start)
-        if end == -1:
-            tail = text[start:]
-            if tail.strip():
-                pos = start + (len(tail) - len(tail.lstrip()))
-                raise ParseError("missing ';' after statement", pos)
-            return statements
-        chunk = text[start:end]
-        if chunk.strip():
-            offset = start + (len(chunk) - len(chunk.lstrip()))
-            statements.append((chunk.strip(), offset))
+    """The (start, end) spans of the nonblank statements, each up to its ';'."""
+    spans, start = [], 0
+    while (end := text.find(";", start)) != -1:
+        if text[start:end].strip():
+            spans.append((start, end))
         start = end + 1
+    if text[start:].strip():
+        raise ParseError("missing ';' after statement", len(text) - len(text[start:].lstrip()))
+    return spans
 
 
-def _rebased(exc, offset):
-    return ParseError(exc.message, exc.pos + offset)
+def _read(cur, *shape):
+    """The texts of the next tokens if they have `shape`, else None: an entry
+    "ident" (a name, with no subscript), "int" or "end" asks for a token of
+    that kind, any other for that text."""
+    texts = []
+    for want in shape:
+        kind, text, _ = cur.advance()
+        if (kind if want in ("ident", "int", "end") else text) != want or "_(" in text:
+            return None
+        texts.append(text)
+    return texts
 
 
 def _as_monomial_ideal(value, name):
     if isinstance(value, MonomialIdeal):
         return value
-    gens = []
-    for f in value.generators:
-        if not f.is_term():
-            raise ValueError(f"{name} is not a monomial ideal")
-        gens.append(f.monomials()[0])
-    return MonomialIdeal(value.ring, gens)
+    if not is_monomial_ideal(value):
+        raise ValueError(f"{name} is not a monomial ideal")
+    return MonomialIdeal(value.ring, [m for f in value.generators for m in f._terms])
 
 
-def _eval_command(stmt, offset, session):
-    """Run a command statement; returns (canonical echo, result object)."""
-    m = _CMD_RE.fullmatch(stmt)
-    if m is None or m[1] not in _COMMANDS or (m[2] is None) == (m[1] in _NAT_COMMANDS):
-        raise ParseError("malformed command", offset)
-    cmd, nat, name = m.groups()
-    echo = " ".join(filter(None, m.groups()))   # verbatim, as in "jets 007 I"
-    if cmd == "jets":
-        value = session.lookup(name, _IDEALS, "an ideal")
-        if isinstance(value, MonomialIdeal):
-            value = value.to_ideal()
-        return echo, jets_ideal(int(nat), value)
-    if cmd == "jetsradical":
-        return echo, jets_radical(int(nat), session.lookup(name, _IDEALS, "an ideal"))
-    if cmd == "graphjets":
-        return echo, jets_graph(int(nat), session.lookup(name, Graph, "a graph"))
+def _command(cur, session):
+    """Read and run the `command` ending a statement: (echo, verbatim as "jets 007 I", result)."""
+    word, pos = cur.peek()[1:]
+    shape = ("ident", "int", "ident") if word in _NAT_COMMANDS else ("ident", "ident")
+    texts = _read(cur, *shape, "end")
+    if texts is None:
+        raise ParseError("malformed command", pos)
+    nat = int(texts[1]) if len(texts) == 4 else None
+    return " ".join(texts[:-1]), _run_command(word, nat, texts[-2], session)
+
+
+def _run_command(cmd, nat, name, session):
+    """The result of command `cmd`, with its natural argument `nat`, on `name`."""
     if cmd == "minors":
-        return echo, minors(int(nat), session.lookup(name, GenericMatrix, "a matrix"))
-    if cmd == "minimalprimes":
-        value = session.lookup(name, _IDEALS, "an ideal")
-        primes = minimal_primes_squarefree(_as_monomial_ideal(value, name))
-        return echo, _Groups("primes", primes)
+        return minors(nat, session.lookup(name, GenericMatrix, "a matrix"))
+    if cmd in ("jets", "jetsradical", "minimalprimes"):
+        I = session.lookup(name, _IDEALS, "an ideal")
+        if cmd == "jets":
+            return jets_ideal(nat, I.to_ideal() if isinstance(I, MonomialIdeal) else I)
+        if cmd == "jetsradical":
+            return jets_radical(nat, I)
+        return _Groups("primes", minimal_primes_squarefree(_as_monomial_ideal(I, name)))
     G = session.lookup(name, Graph, "a graph")
+    if cmd == "graphjets":
+        return jets_graph(nat, G)
     if cmd == "chromatic":
-        return echo, chromatic_number(G)
+        return chromatic_number(G)
     if cmd == "covers":
-        return echo, _Groups("covers", minimal_vertex_covers(G))
+        return _Groups("covers", minimal_vertex_covers(G))
     if cmd == "complement":
-        return echo, complement_graph(G)
-    return echo, is_chordal(G)
+        return complement_graph(G)
+    return is_chordal(G)
 
 
 def to_record(result):
@@ -179,76 +171,64 @@ def emit_json(result):
     return json.dumps(to_record(result), sort_keys=True, separators=(",", ":"))
 
 
-def _exec_statement(stmt, offset, session):
-    """Execute one statement; returns (echo, result or None).
+def _exec_statement(text, start, end, session):
+    """Read and execute the statement in `text[start:end]`; returns (echo,
+    result or None).  A statement of the wrong shape is reported at its start.
 
     A matrix statement's echo ends with the matrix rows, so text mode shows
     them and JSON mode, which prints results only, does not.
     """
-    head = stmt.split(None, 1)[0]
-    if head == "ring":
-        m = _RING_RE.fullmatch(stmt)
-        if m is None:
-            raise ParseError("malformed ring statement", offset)
-        name, body = m.group(1), m.group(2)
-        try:
-            variables = parse_variables(body)
-        except ParseError as e:
-            raise _rebased(e, offset + m.start(2)) from None
-        ring = PolyRing(variables)
-        session.define(name, ring)
-        session.current_ring = ring
-        return f"ring {name} = {ring}", None
+    cur = _Cursor(text, start, end)
+    head, pos = cur.peek()[1:]
     if head in _BINDABLE:
-        m = _BINDING_RE.fullmatch(stmt)
-        if m is None:
-            raise ParseError(f"malformed {head} statement", offset)
-        name, body = m.group(2), m.group(3)
-        body_off = offset + m.start(3)
-        m = _BOUND_COMMAND_RE.match(body)
-        if m and m[1] in _BINDABLE[head]:
-            echo, result = _eval_command(body, body_off, session)
+        texts = _read(cur, head, "ident", "=")
+        if texts is None or head == "ring" and not cur.accept_sym("["):
+            raise ParseError(f"malformed {head} statement", pos)
+        name = texts[1]
+        if cur.peek()[1] in _BINDABLE[head] and cur.tokens[cur.i + 1][0] in ("int", "ident"):
+            echo, result = _command(cur, session)
             session.define(name, result)
             return f"{head} {name} = {echo}", None
-        if head == "graph":
-            try:
-                G = parse_graph_text(body)
-            except ParseError as e:
-                raise _rebased(e, body_off) from None
+        if head == "ideal":
+            if session.current_ring is None:
+                raise ValueError("no ring defined yet")
+            value = Ideal(session.current_ring, _polys(cur, session.current_ring))
+        else:
+            body = cur.peek()[2]
+            try:   # a bad or repeated name is reported at the body's first token
+                value = PolyRing(_variables(cur)) if head == "ring" else _graph(cur)
+            except ParseError:
+                raise
             except ValueError as e:
-                raise ParseError(str(e), body_off) from None
-            session.define(name, G)
-            return f"graph {name} = {G}", None
-        if session.current_ring is None:
-            raise ValueError("no ring defined yet")
-        try:
-            gens = parse_polys(body, session.current_ring)
-        except ParseError as e:
-            raise _rebased(e, body_off) from None
-        ideal = Ideal(session.current_ring, gens)
-        session.define(name, ideal)
-        return f"ideal {name} = {ideal}", None
+                raise ParseError(str(e), body) from None
+            if head == "ring":
+                cur.expect_sym("]")
+        cur.expect_end()
+        session.define(name, value)
+        if head == "ring":
+            session.current_ring = value
+        return f"{head} {name} = {value}", None
     if head == "matrix":
-        m = _MATRIX_RE.fullmatch(stmt)
-        if m is None:
-            raise ParseError("malformed matrix statement", offset)
-        name, ring_name = m.group(1), m.group(2)
-        rows, cols = int(m.group(3)), int(m.group(4))
+        texts = _read(cur, "matrix", "ident", "=", "generic", "(", "ident", ",", "int", ",",
+                      "int", ")", "end")
+        if texts is None:
+            raise ParseError("malformed matrix statement", pos)
+        name, ring_name, rows, cols = texts[1], texts[5], int(texts[7]), int(texts[9])
         ring = session.lookup(ring_name, PolyRing, "a ring")
         matrix = generic_matrix(ring, rows, cols)
         session.define(name, matrix)
         return f"matrix {name} = generic({ring_name},{rows},{cols})\n{matrix}", None
     if head in _COMMANDS:
-        return _eval_command(stmt, offset, session)
-    raise ParseError(f"unknown statement {head!r}", offset)
+        return _command(cur, session)
+    raise ParseError(f"unknown statement {head!r}", pos)
 
 
 def run_script(text, json_mode=False):
     """Execute a script and return its transcript (or JSON lines) as a string."""
     session = Session()
     out = []
-    for index, (stmt, offset) in enumerate(_split_statements(text), start=1):
-        echo, result = _exec_statement(stmt, offset, session)
+    for index, (start, end) in enumerate(_split_statements(text), start=1):
+        echo, result = _exec_statement(text, start, end, session)
         if json_mode:
             if result is not None:
                 out.append(emit_json(result))

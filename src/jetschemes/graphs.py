@@ -321,10 +321,14 @@ def parse_graph_text(text):
     the header ("vertices a..d"), a subscripted vertex ("x_(1)-a") and a
     first edge "vertices - a" are read as graphs.
     """
-    cur = _Cursor(text)
+    return _graph(_Cursor(text))
+
+
+def _graph(cur):
+    """One `graph` read from `cur`, up to its end token."""
     kind, value, _ = cur.peek()
-    declared = kind == "ident" and value == "vertices" and cur.tokens[1][1] != "-"
-    cur.i = int(declared)   # past the header's "vertices"
+    declared = kind == "ident" and value == "vertices" and cur.tokens[cur.i + 1][1] != "-"
+    cur.i += declared   # past the header's "vertices"
     vertices = _variables(cur) if declared else []
     index = {v.name: i for i, v in enumerate(vertices)}
     edges = []

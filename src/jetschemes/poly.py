@@ -454,7 +454,14 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Parsing: three grammars over one token cursor, which also parses `var`.
+# Parsing: one token cursor reads each statement of a script, the three body
+# grammars within it, and `var`.  A `name` is an ident with no subscript.
+#
+# script  := { [ stmt ] ';' }
+# stmt    := 'ring' name '=' '[' vars ']' | command
+#          | ( 'ideal' | 'graph' ) name '=' ( command | polys | graph )
+#          | 'matrix' name '=' 'generic' '(' name ',' nat ',' nat ')'
+# command := word [ nat ] name   (a body is one iff an int or ident follows its word)
 #
 # polys  := poly { ',' poly }
 # poly   := ['-'] term { ('+'|'-') term }
@@ -478,20 +485,21 @@ class Ideal:
 
 _NAT = "(?:0|[1-9][0-9]*)"
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT}(?:_\({_NAT}(?:,{_NAT})*\))?)"
-                       r"|(?P<sym>\.\.|[-+*/^_(),])|(?P<bad>\S))")
+                       r"|(?P<sym>\.\.|[-+*/^_(),=\[\]])|(?P<bad>\S))")
 
 
 class _Cursor:
-    """The tokens of one text, read left to right by every grammar."""
+    """The tokens of `text[start:end]`, at their offsets in `text`, read by every grammar."""
 
-    def __init__(self, text):
+    def __init__(self, text, start=0, end=None):
+        end = len(text) if end is None else end
         self.tokens = tokens = []
-        for m in _TOKEN_RE.finditer(text):   # each match skips the whitespace before its token
+        for m in _TOKEN_RE.finditer(text, start, end):   # a match skips the spaces before it
             kind = m.lastgroup
             if kind == "bad":
                 raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
             tokens.append((kind, m[kind], m.start(kind)))
-        tokens.append(("end", "", len(text)))
+        tokens.append(("end", "", end))
         self.i = 0
 
     def peek(self):
@@ -565,10 +573,16 @@ def parse_polys(text, ring):
     reported before a grammar error.
     """
     cur = _Cursor(text)
+    polys = _polys(cur, ring)
+    cur.expect_end()
+    return polys
+
+
+def _polys(cur, ring):
+    """One `polys` read from `cur`."""
     polys = [_poly(cur, ring)]
     while cur.accept_sym(","):
         polys.append(_poly(cur, ring))
-    cur.expect_end()
     return polys
 
 

@@ -5,15 +5,20 @@ monomial ideals, deliberately avoids the library's sparse-monomial code
 paths: polynomials are dense exponent-tuple dicts, covers come from a
 full subset scan, determinants from the permutation sum, chordality from
 induced-cycle enumeration, and colorings from exhaustive assignment.
+The regex readers of graph bodies and of script statements, which the
+token cursor replaced, are kept as references for it.
 """
 
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from jetschemes import (Graph, HyperGraph, Ideal, Monomial, MonomialIdeal, Poly,
-                        Variable, edge_ideal, graph_from_edge_ideal, jets_ideal,
-                        term_key)
+from jetschemes import (Graph, HyperGraph, Ideal, Monomial, MonomialIdeal, ParseError,
+                        Poly, PolyRing, Variable, edge_ideal, generic_matrix,
+                        graph_from_edge_ideal, jets_ideal, parse_graph_text, parse_polys,
+                        parse_variables, term_key)
+from jetschemes.cli import (_COMMANDS, _NAT_COMMANDS, Session, _run_command, _text_lines,
+                            emit_json, to_record)
 
 
 # --- dense-exponent polynomial arithmetic -----------------------------------
@@ -171,6 +176,130 @@ def parse_graph_text_by_regex(text):
     vertices = [Variable(name) for name in names]
     by_name = {v.name: v for v in vertices}
     return Graph(vertices, [(by_name[u], by_name[w]) for u, w in edges])
+
+
+# --- script statements -------------------------------------------------------
+
+_IDENT = r"[A-Za-z][A-Za-z0-9]*"
+_RING_RE = re.compile(rf"ring\s+({_IDENT})\s*=\s*\[(.*)\]\s*$", re.S)
+_BINDING_RE = re.compile(rf"(ideal|graph)\s+({_IDENT})\s*=\s*(.*)$", re.S)
+_MATRIX_RE = re.compile(
+    rf"matrix\s+({_IDENT})\s*=\s*generic\s*\(\s*({_IDENT})\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$",
+    re.S)
+# a command, its natural argument (for the _NAT_COMMANDS only) and a name
+_CMD_RE = re.compile(rf"({_IDENT})\s+(?:(\d+)\s+)?({_IDENT})\s*$")
+# a bound command's word, alone or before an argument ("jets * x" is a body)
+_BOUND_COMMAND_RE = re.compile(rf"({_IDENT})(?:\s+[A-Za-z0-9]|\Z)")
+_BINDABLE = {"ideal": ("jets", "jetsradical", "minors"), "graph": ("graphjets", "complement")}
+
+
+def run_script_by_regex(text, json_mode=False):
+    """The statement reader that ran scripts before the token cursor read
+    whole statements: each stripped statement is matched by a regex, and
+    its body is handed to the library's text parsers, whose error offsets
+    are moved into the script.  Commands run as in the CLI."""
+    session = Session()
+    out = []
+    for index, (stmt, offset) in enumerate(_split_statements(text), start=1):
+        echo, result = _exec_statement(stmt, offset, session)
+        if json_mode:
+            if result is not None:
+                out.append(emit_json(result))
+        else:
+            out.append(f"[{index}] {echo}")
+            if result is not None:
+                out.extend(_text_lines(to_record(result)))
+    return "\n".join(out)
+
+
+def _split_statements(text):
+    statements = []
+    start = 0
+    while True:
+        end = text.find(";", start)
+        if end == -1:
+            tail = text[start:]
+            if tail.strip():
+                pos = start + (len(tail) - len(tail.lstrip()))
+                raise ParseError("missing ';' after statement", pos)
+            return statements
+        chunk = text[start:end]
+        if chunk.strip():
+            offset = start + (len(chunk) - len(chunk.lstrip()))
+            statements.append((chunk.strip(), offset))
+        start = end + 1
+
+
+def _rebased(exc, offset):
+    return ParseError(exc.message, exc.pos + offset)
+
+
+def _eval_command(stmt, offset, session):
+    m = _CMD_RE.fullmatch(stmt)
+    if m is None or m[1] not in _COMMANDS or (m[2] is None) == (m[1] in _NAT_COMMANDS):
+        raise ParseError("malformed command", offset)
+    cmd, nat, name = m.groups()
+    echo = " ".join(filter(None, m.groups()))   # verbatim, as in "jets 007 I"
+    return echo, _run_command(cmd, None if nat is None else int(nat), name, session)
+
+
+def _exec_statement(stmt, offset, session):
+    head = stmt.split(None, 1)[0]
+    if head == "ring":
+        m = _RING_RE.fullmatch(stmt)
+        if m is None:
+            raise ParseError("malformed ring statement", offset)
+        name, body = m.group(1), m.group(2)
+        try:
+            variables = parse_variables(body)
+        except ParseError as e:
+            raise _rebased(e, offset + m.start(2)) from None
+        ring = PolyRing(variables)
+        session.define(name, ring)
+        session.current_ring = ring
+        return f"ring {name} = {ring}", None
+    if head in _BINDABLE:
+        m = _BINDING_RE.fullmatch(stmt)
+        if m is None:
+            raise ParseError(f"malformed {head} statement", offset)
+        name, body = m.group(2), m.group(3)
+        body_off = offset + m.start(3)
+        m = _BOUND_COMMAND_RE.match(body)
+        if m and m[1] in _BINDABLE[head]:
+            echo, result = _eval_command(body, body_off, session)
+            session.define(name, result)
+            return f"{head} {name} = {echo}", None
+        if head == "graph":
+            try:
+                G = parse_graph_text(body)
+            except ParseError as e:
+                raise _rebased(e, body_off) from None
+            except ValueError as e:
+                raise ParseError(str(e), body_off) from None
+            session.define(name, G)
+            return f"graph {name} = {G}", None
+        if session.current_ring is None:
+            raise ValueError("no ring defined yet")
+        try:
+            gens = parse_polys(body, session.current_ring)
+        except ParseError as e:
+            raise _rebased(e, body_off) from None
+        ideal = Ideal(session.current_ring, gens)
+        session.define(name, ideal)
+        return f"ideal {name} = {ideal}", None
+    if head == "matrix":
+        m = _MATRIX_RE.fullmatch(stmt)
+        if m is None:
+            raise ParseError("malformed matrix statement", offset)
+        name, ring_name = m.group(1), m.group(2)
+        rows, cols = int(m.group(3)), int(m.group(4))
+        ring = session.lookup(ring_name, PolyRing, "a ring")
+        matrix = generic_matrix(ring, rows, cols)
+        session.define(name, matrix)
+        return f"matrix {name} = generic({ring_name},{rows},{cols})\n{matrix}", None
+    if head in _COMMANDS:
+        return _eval_command(stmt, offset, session)
+    raise ParseError(f"unknown statement {head!r}", offset)
 
 
 # --- combinatorial oracles ---------------------------------------------------

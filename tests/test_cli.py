@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import string
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from jetschemes.cli import main, run_script
 
 from expected import (XYZ_JET2_GENERATORS, XYZ_JET2_MINIMAL_PRIMES,
                       XYZ_JET2_RADICAL)
+from oracles import run_script_by_regex
 
 JETS_SCRIPT = "ring R = [x,y,z]; ideal I = x*y*z; jets 2 I;"
 EMPTY_SCRIPT = "ring R = [x]; ideal I = 0; jets 3 I;"
@@ -127,11 +129,21 @@ def test_statement_spanning_lines_with_vertex_header():
 
 
 def test_binding_bodies_that_start_with_a_command_word():
-    # a command word followed by an operator begins a graph or an ideal body
+    # a command word followed by an operator, or alone, begins a graph or an
+    # ideal body
     assert run_script("graph G = complement - a;") == \
         "[1] graph G = vertices complement,a; edges complement-a"
     lines = run_script("ring R = [jets,x]; ideal I = jets * x;").splitlines()
     assert lines[1] == "[2] ideal I = ideal(jets*x)"
+    assert run_script("ring R = [jets,x]; ideal I = jets;").splitlines() == \
+        ["[1] ring R = QQ[jets,x]", "[2] ideal I = ideal(jets)"]
+
+
+def test_tokens_do_not_see_whitespace_in_a_command():
+    # "1I" is the two tokens 1 and I, so the command is read as "jets 1 I"
+    script = "ring R = [x]; ideal I = x; jets 1I;"
+    assert run_script(script) == run_script(script.replace("1I", "1 I"))
+    assert run_script(script).splitlines()[2] == "[3] jets 1 I"
 
 
 def test_rebinding_a_name_is_an_error():
@@ -326,3 +338,42 @@ def test_random_token_scripts_raise_only_parse_or_value_errors():
             assert 0 <= e.pos <= len(text), text
         except ValueError:
             pass
+
+
+EDIT_SCRIPTS = (JETS_SCRIPT, EMPTY_SCRIPT, GRAPH_SCRIPT, KINDS_SCRIPT,
+                "; ".join(FUZZ_STATEMENTS) + ";")
+# a larger digit next to a command's order makes a jet order in the tens,
+# whose jets take seconds
+EDIT_CHARS = ";=[](),-*_ 01" + string.ascii_letters
+
+
+def _outcome(run, text):
+    try:
+        return run(text), run(text, json_mode=True)
+    except ValueError as e:
+        return e
+
+
+def test_single_character_edits_read_as_by_the_regex_statement_reader():
+    # seeded one-character insertions and deletions in the scripts above:
+    # the token reader prints what the regex reader of `oracles` prints, and
+    # rejects what it rejects, with the same exception type
+    rng = random.Random(20261019)
+    for _ in range(1200):
+        script = rng.choice(EDIT_SCRIPTS)
+        at = rng.randrange(len(script))
+        if rng.random() < 0.3 and (script[at] in EDIT_CHARS or script[at].isdigit()):
+            text = script[:at] + script[at + 1:]
+        else:
+            text = script[:at] + rng.choice(EDIT_CHARS) + script[at:]
+        expected = _outcome(run_script_by_regex, text)
+        got = _outcome(run_script, text)
+        if (isinstance(expected, ParseError) and expected.message == "malformed command"
+                and re.search(r"\d [A-Za-z]", script[at - 1:at + 2]) and len(text) < len(script)):
+            # tokens do not see the space deleted between an order and a name
+            expected = _outcome(run_script_by_regex, script)
+        if not isinstance(expected, ValueError):
+            assert got == expected, text
+        elif type(got) is not type(expected):
+            # a bad or repeated name in a ring body is now a ParseError
+            assert isinstance(got, ParseError) and got.message == str(expected), text

@@ -1,16 +1,19 @@
-"""Every ParseError site of the three text grammars, pinned by message and offset.
+"""Every ParseError site of the script reader and the three body grammars,
+pinned by message and offset.
 
 The polynomial grammar, the variable-list grammar and the graph grammar
 share one token cursor; these rows hold their messages and 0-based
 offsets fixed.  A name written compactly ("y_(1,2)") is scanned as one
 token, but a stray one is still reported by its identifier alone, as when
-spelled out.  The `run_script` rows check that ring, ideal and graph
-bodies report offsets into the whole script.  An ideal body is a
-polynomial list, `polys := poly { ',' poly }`, read by one cursor: as in
-a ring body, its first bad character is reported before an earlier
-grammar error.  A graph body, `graph := [ 'vertices' vars ] { ',' | var
-'-' var }`, reports its token errors at their token, and an undeclared
-vertex or an empty graph at the start of the body.
+spelled out.  The `run_script` rows read each statement with one cursor
+over its span of the script, so every offset is into the whole script.
+Within a statement, as within a body, the first bad character is reported
+before an earlier grammar error, and an error at a body's end is reported
+at the statement's ';'.  A statement of the wrong shape is reported at its
+start.  An ideal body is a polynomial list, `polys := poly { ',' poly }`.
+A graph body, `graph := [ 'vertices' vars ] { ',' | var '-' var }`, and a
+ring body report their token errors at their token, and a bad or repeated
+name, an undeclared vertex or an empty graph at the body's first token.
 """
 
 import pytest
@@ -90,15 +93,26 @@ SCRIPT_ERRORS = [
     ("graph G = vertices;", "expected a variable name", 18),
     ("graph G = vertices a b c\na-b;", "expected '-'", 23),
     ("graph G = vertices a\na-b;", "edge uses undeclared vertex b", 10),
-    ("graph G = ;", "empty graph", 9),
+    ("graph G = ;", "empty graph", 10),
     ("ring R = [x]; graph G = \n , ;", "empty graph", 26),
     ("ring R = [x]; ideal I = x; ideal J = jets x I;", "malformed command", 37),
-    ("graph G = a-b; graph H = complement;", "malformed command", 25),
+    ("graph G = a-b; graph H = complement;", "expected '-'", 35),
     ("ring R = [x]; ideal I = x; jets 1 I; jets I;", "malformed command", 37),
+    ("ring R = [x]; ideal I = x; jets 1 I_(1);", "malformed command", 27),
     ("ring R = [x]; ideal I = x; foo I;", "unknown statement 'foo'", 27),
     ("ring R = x;", "malformed ring statement", 0),
     ("matrix M = generic(R);", "malformed matrix statement", 0),
     ("ring R = [x]", "missing ';' after statement", 0),
+    ("ring R = [x1];", "variable base 'x1' ends in a digit", 10),
+    ("ring R = [x_(1)..x_(2), y1];", "variable base 'y1' ends in a digit", 10),
+    ("ring R = [x,y,x];", "duplicate variable x", 10),
+    ("ring R = [x y];", "expected ']'", 12),
+    ("ring R = [x,y;", "expected ']'", 13),
+    ("ring R = [x] y;", "unexpected 'y'", 13),
+    ("ring R = [x,y]; ideal I = x = y;", "unexpected '='", 28),
+    ("ring R = [x]; ideal I = ;", "expected a coefficient or a variable", 24),
+    ("foo$ I;", "unexpected character '$'", 3),
+    ("ring[x];", "malformed ring statement", 0),
 ]
 
 
