@@ -108,9 +108,6 @@ class HyperGraph:
             masks.append(mask)
         self.edges = tuple(sorted(tuple(_members(m)) for m in _minimal_masks(masks)))
 
-    def edge_sets(self):
-        return [tuple(self.vertices[i] for i in e) for e in self.edges]
-
     def __eq__(self, other):
         return (isinstance(other, HyperGraph) and self.vertices == other.vertices
                 and self.edges == other.edges)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .poly import Ideal, PolyRing
+from .poly import Ideal, Monomial, Poly, PolyRing
 
 
 @dataclass(eq=True)
@@ -41,25 +42,27 @@ def generic_matrix(R, m, n):
     return GenericMatrix(R, m, n, entries)
 
 
-def _det(ring, rows):
-    """Determinant by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = ring.zero()
-    for j, top in enumerate(rows[0]):
-        sub = [row[:j] + row[j + 1:] for row in rows[1:]]
-        cofactor = top * _det(ring, sub)
-        total = total + cofactor if j % 2 == 0 else total - cofactor
-    return total
-
-
 def minors(r, M):
-    """The ideal of all r x r minors, row sets then column sets in lex order."""
+    """The ideal of all r x r minors, row sets then column sets in lex order.
+
+    The entries are distinct variables, so the r! Leibniz terms of a minor
+    are distinct squarefree monomials with coefficient +-1 and none cancel:
+    each minor is one dict over the permutations, with no Poly arithmetic.
+    """
     if not 1 <= r <= min(M.rows, M.cols):
         raise ValueError(f"minor size {r} out of range for a {M.rows}x{M.cols} matrix")
+    index = [[next(iter(e._terms)).exps[0][0] for e in row] for row in M.entries]
+    signs = (Fraction(1), Fraction(-1))
+    perms = [(p, signs[sum(a > b for a, b in itertools.combinations(p, 2)) % 2])
+             for p in itertools.permutations(range(r))]
     gens = []
     for rowset in itertools.combinations(range(M.rows), r):
+        rows = [index[i] for i in rowset]
         for colset in itertools.combinations(range(M.cols), r):
-            rows = [list(M.entries[i][j] for j in colset) for i in rowset]
-            gens.append(_det(M.ring, rows))
+            sub = [[row[j] for j in colset] for row in rows]
+            terms = {}
+            for p, sign in perms:
+                support = sorted([row[j] for row, j in zip(sub, p)])
+                terms[Monomial._trusted(tuple([(k, 1) for k in support]))] = sign
+            gens.append(Poly._trusted(M.ring, terms))
     return Ideal(M.ring, gens)

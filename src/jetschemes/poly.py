@@ -5,7 +5,8 @@ consecutive blocks.  A plain ring is a single untagged block; rings built
 by the jet construction tag each block with its jet order.  Terms are kept
 in graded reverse lexicographic order, comparing later blocks first, so a
 tower like QQ[x0,y0,z0][x1,y1,z1] prints with the outer (higher order)
-variables dominating.
+variables dominating.  `term_key` packs the order into one int, exact
+because every monomial's total degree is kept below 2^32.
 
 Coefficients are `fractions.Fraction`, so all arithmetic is exact and
 every coefficient is stored with positive denominator in lowest terms.
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 _IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names and binding names
 _IDENT_RE = re.compile(_IDENT)
+_WIDTH = 32   # bits per field of the packed term order; degrees stay below 2^_WIDTH
 
 
 class ParseError(ValueError):
@@ -89,10 +90,12 @@ class PolyRing:
 
     `blocks` is a tuple of (tag, size) pairs; a plain ring is ((None, n),).
     An optional `weights` tuple assigns one natural number per variable and
-    is used for weighted homogeneity checks.
+    is used for weighted homogeneity checks.  `_key_weights` holds one int
+    per variable, the coefficients of `term_key`.
     """
 
-    __slots__ = ("variables", "blocks", "weights", "_names", "_by_name", "_ends", "_hash")
+    __slots__ = ("variables", "blocks", "weights", "_names", "_by_name", "_key_weights",
+                 "_hash")
 
     def __init__(self, variables, blocks=None, weights=None):
         self.variables = tuple(variables)
@@ -112,7 +115,13 @@ class PolyRing:
             if len(weights) != n:
                 raise ValueError("need one weight per variable")
         self.weights = weights
-        self._ends = tuple(itertools.accumulate(size for _, size in self.blocks))
+        # fields from the least significant: each block's variables, then its degree
+        self._key_weights = key_weights = []
+        pos = 0
+        for _, size in self.blocks:
+            degree = 1 << _WIDTH * (pos + size)
+            key_weights += [degree - (1 << _WIDTH * p) for p in range(pos, pos + size)]
+            pos += size + 1
         # a name determines its Variable, so names stand in for the variables
         self._hash = hash((self._names, self.blocks, self.weights))
 
@@ -171,7 +180,8 @@ def ring_make(variables, weights=None):
 class Monomial:
     """Sparse exponent map, stored as index-sorted (variable, exponent) pairs.
 
-    The empty monomial is 1; zero exponents are never stored.
+    The empty monomial is 1; zero exponents are never stored, and the total
+    degree is below 2^32, the bound of `term_key`.
     """
 
     __slots__ = ("exps",)
@@ -187,6 +197,7 @@ class Monomial:
                 raise ValueError("negative exponent in monomial")
             if e:
                 cleaned.append((i, e))
+        _check_degree(sum(e for _, e in cleaned))
         self.exps = tuple(cleaned)
 
     @classmethod
@@ -201,12 +212,6 @@ class Monomial:
 
     def weighted_degree(self, weights):
         return sum(weights[i] * e for i, e in self.exps)
-
-    def exponent(self, i):
-        for j, e in self.exps:
-            if j == i:
-                return e
-        return 0
 
     def support(self):
         return tuple(i for i, _ in self.exps)
@@ -234,39 +239,30 @@ class Monomial:
         return f"Monomial({body})"
 
 
-def term_key(ring, mono):
-    """Sort key for monomials, ascending in the ring's canonical order.
+def _check_degree(d):
+    """Refuse a total degree `d` that the fields of `term_key` cannot hold."""
+    if d >> _WIDTH:
+        raise ValueError(f"monomial of degree {d}: degrees must be below 2^{_WIDTH}")
 
-    Blocks are compared from the last one; within a block the order is
-    graded reverse lexicographic.  The key is one flat tuple: for each
-    block, from the last, its degree and then -index, -exponent for each
-    of its variables from the last one, stopping after the block of the
-    monomial's lowest-index variable (the constant monomial keys as ()).
-    At equal block degree neither run of pairs is a prefix of the other,
-    so two keys stay aligned block by block and compare as the block's
-    negated exponents read from its last variable, zeros included, would.
-    A key cut off after its last nonempty block is a prefix only of the
-    key of a monomial that agrees with it there and has more variables
-    below, which is the larger one.
+
+def term_key(ring, mono):
+    """Sort key for monomials, ascending in the ring's canonical order: an int.
+
+    The dense key reads, per block from the last, the block's degree and
+    then the negated exponents from its last variable.  Stored as D - e
+    with D = 2^32 - 1, each entry is a natural below 2^32, so the row packs
+    into one int of 32-bit fields, the first block's variables in the
+    lowest fields and each block's degree just above its variables, and
+    int order is row order.  Dropping the constant leaves a linear form,
+    the sum of e * W[i] with W[i] = 2^(32 pos(block of i)) - 2^(32 pos(i)).
+    The key is exact while every block degree is below 2^32, which
+    `Monomial` and the parser enforce on the total degree.
     """
-    exps = mono.exps
-    if not exps:
-        return ()
-    ends = ring._ends
-    b = bisect_right(ends, exps[0][0])   # the block of the lowest-index variable
-    key = []   # built from that block up, and reversed at the end
-    degree = 0
-    for i, e in exps:
-        while i >= ends[b]:
-            key.append(degree)
-            degree = 0
-            b += 1
-        key += (-e, -i)
-        degree += e
-    key.append(degree)
-    key += [0] * (len(ends) - 1 - b)
-    key.reverse()
-    return tuple(key)
+    weights = ring._key_weights
+    key = 0
+    for i, e in mono.exps:
+        key += e * weights[i]
+    return key
 
 
 def monomial_str(ring, mono):
@@ -310,11 +306,8 @@ class Poly:
 
     def items(self):
         """Terms as (monomial, coefficient) pairs in canonical descending order."""
-        return sorted(self._terms.items(),
-                      key=lambda kv: term_key(self.ring, kv[0]), reverse=True)
-
-    def monomials(self):
-        return [m for m, _ in self.items()]
+        ring = self.ring
+        return sorted(self._terms.items(), key=lambda kv: term_key(ring, kv[0]), reverse=True)
 
     def coefficient(self, mono):
         return self._terms.get(mono, Fraction(0))
@@ -620,6 +613,7 @@ def _term(cur, ring):
         raise ParseError("expected a coefficient or a variable", pos)
     while cur.accept_sym("*"):
         _factor(cur, ring, exps)
+    _check_degree(sum(exps.values()))
     return Monomial._trusted(tuple(sorted(exps.items()))), num, den
 
 

@@ -3,7 +3,8 @@
 Everything here, except the term-collection reference for jets of
 monomial ideals, deliberately avoids the library's sparse-monomial code
 paths: polynomials are dense exponent-tuple dicts, covers come from a
-full subset scan, determinants from the permutation sum, chordality from
+full subset scan, determinants from Poly products over the permutation
+sum and by cofactor expansion, chordality from
 induced-cycle enumeration, and colorings from exhaustive assignment.
 The regex readers of graph bodies and of script statements, which the
 token cursor replaced, are kept as references for it.
@@ -372,6 +373,18 @@ def intersect_variable_primes(ring, primes):
         step = {s | {i} for s in supports for i in indices}
         supports = [s for s in step if not any(o < s for o in step)]
     return set(supports)
+
+
+def cofactor_det(ring, rows):
+    """Determinant by cofactor expansion along the first row, in Poly arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = ring.zero()
+    for j, top in enumerate(rows[0]):
+        sub = [row[:j] + row[j + 1:] for row in rows[1:]]
+        cofactor = top * cofactor_det(ring, sub)
+        total = total + cofactor if j % 2 == 0 else total - cofactor
+    return total
 
 
 def leibniz_det(ring, entries):

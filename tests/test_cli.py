@@ -201,6 +201,15 @@ def test_main_semantic_error_exit_1(tmp_path, capsys):
     assert "unknown name" in capsys.readouterr().err
 
 
+def test_main_degree_bound_exit_1(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("ring R = [x]; ideal I = x^4294967295; ideal J = x^4294967296;",
+                    encoding="utf-8")
+    assert main(["--script", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: monomial of degree 4294967296: "
+                                       "degrees must be below 2^32\n")
+
+
 def test_main_missing_file_exit_1(tmp_path, capsys):
     assert main(["--script", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err

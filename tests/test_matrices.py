@@ -7,7 +7,7 @@ from jetschemes import (generic_matrix, jets_ideal, minors, parse_variables,
                         ring_make, run_script)
 
 from expected import GENERIC_3X3_ROWS
-from oracles import leibniz_det
+from oracles import cofactor_det, leibniz_det
 
 
 @pytest.fixture
@@ -84,16 +84,38 @@ def test_generator_counts():
 
 def test_cofactor_matches_leibniz_up_to_4x4():
     ring = ring_make(parse_variables("x_(1,1)..x_(4,4)"))
-    M = generic_matrix(ring, 4, 4)
-    for size in (2, 3, 4):
-        expected = []
-        for rowset in combinations(range(4), size):
-            for colset in combinations(range(4), size):
-                sub = [[M.entry(i, j) for j in colset] for i in rowset]
-                expected.append(leibniz_det(ring, sub))
-        assert list(minors(size, M).generators) == expected
-    det4 = minors(4, M).generators[0]
+    for m, n in ((4, 4), (3, 4), (4, 2)):
+        M = generic_matrix(ring, m, n)
+        for size in range(1, min(m, n) + 1):
+            expected = []
+            for rowset in combinations(range(m), size):
+                for colset in combinations(range(n), size):
+                    sub = [[M.entry(i, j) for j in colset] for i in rowset]
+                    expected.append(cofactor_det(ring, sub))
+            got = minors(size, M).generators
+            assert list(got) == expected
+            assert [str(g) for g in got] == [str(g) for g in expected]
+    det4 = minors(4, generic_matrix(ring, 4, 4)).generators[0]
     assert len(det4._terms) == 24
+
+
+def test_minors_match_sympy_determinants():
+    sympy = pytest.importorskip("sympy")
+    ring = ring_make(parse_variables("x_(1,1)..x_(5,5)"))
+    M = generic_matrix(ring, 4, 5)
+    symbols = sympy.symbols(f"v0:{len(ring.variables)}")   # v_k is variable k
+    S = sympy.Matrix(4, 5, lambda i, j: symbols[j * 4 + i])
+    for size in (2, 3, 4):
+        got = minors(size, M).generators
+        expected = [sympy.expand(S.extract(list(rows), list(cols)).det(method="berkowitz"))
+                    for rows in combinations(range(4), size)
+                    for cols in combinations(range(5), size)]
+        assert len(got) == len(expected)
+        for f, g in zip(got, expected):
+            terms = sympy.Poly(g, *symbols).terms()
+            assert len(terms) == len(f._terms)
+            assert ({(tuple((i, e) for i, e in enumerate(exps) if e), int(c)) for exps, c in terms}
+                    == {(m.exps, c) for m, c in f._terms.items()})
 
 
 def test_jets_of_minors_generator_counts():

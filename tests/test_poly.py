@@ -322,6 +322,15 @@ def _random_monomial(rng, nvars):
     return Monomial((i, rng.randint(1, 3)) for i in support)
 
 
+def _random_big_monomial(rng, nvars):
+    """A monomial whose total degree is within 3 of the largest allowed,
+    2^32 - 1, split at random over up to 5 variables."""
+    support = rng.sample(range(nvars), rng.randint(1, min(nvars, 5)))
+    total = 2**32 - 1 - rng.randint(0, 3)
+    cuts = sorted(rng.randint(0, total) for _ in support[1:])
+    return Monomial(zip(support, [b - a for a, b in zip([0] + cuts, cuts + [total])]))
+
+
 def _key_test_rings():
     plain = [ring_make(parse_variables(names)) for names in ("x", "x,y,z", "a..h")]
     jets = [jet_ring(ring, s).ring for ring in plain[:2] for s in range(6)]
@@ -342,15 +351,26 @@ def test_term_key_sorts_like_the_dense_key():
     rng = random.Random(20261018)
     for ring in _key_test_rings():
         n = len(ring.variables)
-        monos = list({_random_monomial(rng, n) for _ in range(60)} | {Monomial()})
+        monos = list({_random_monomial(rng, n) for _ in range(60)} | {Monomial()}
+                     | {_random_big_monomial(rng, n) for _ in range(20)})
         rng.shuffle(monos)
         assert (sorted(monos, key=lambda m: term_key(ring, m))
                 == sorted(monos, key=lambda m: dense_term_key(ring, m)))
         for m1, m2 in zip(monos, monos[1:]):
             _assert_keys_agree(ring, m1, m2)
+            if m1.degree() + m2.degree() < 2**32:
+                assert term_key(ring, m1 * m2) == term_key(ring, m1) + term_key(ring, m2)
         # injective on the sample: equal keys exactly for equal monomials
         assert len({term_key(ring, m) for m in monos}) == len(monos)
         assert all(term_key(ring, Monomial(m.exps)) == term_key(ring, m) for m in monos)
+        # exponents one apart at the top of the range, in every variable
+        top = 2**32 - 1
+        for i in range(n):
+            m1, m2 = Monomial({i: top - 1}), Monomial({i: top})
+            _assert_keys_agree(ring, m1, m2)
+            if i:
+                _assert_keys_agree(ring, Monomial({i: top}), Monomial({i - 1: top}))
+                _assert_keys_agree(ring, Monomial({i: top - 1, i - 1: 1}), m2)
 
     # a 3-block jet ring x0,y0 | x1,y1 | x2,y2, with hand-picked pairs (smaller, larger)
     ring = jet_ring(ring_make(parse_variables("x,y")), 2).ring
@@ -370,8 +390,7 @@ def test_term_key_sorts_like_the_dense_key():
     pairs = [("x0^3", "x1"), ("y0^2*x0", "y1"), ("x1*y1*x0^4", "x2"), ("x0", "y2"),
              ("x2*y0^2", "x2*x1"), ("y1^2*x0", "x2*y0"), ("y1*x0", "x1*x0"),
              ("x2*y0^2", "x2*x0*y0"), ("x2*y2*y1", "x2^2*y1")]
-    # both agree in the higher blocks and the smaller one stops earlier: its
-    # key is a prefix of the larger one's
+    # both agree in the higher blocks and the smaller one stops earlier
     stops_earlier = [("x2", "x2*y0"), ("x2*y1", "x2*y1*x0"), ("x1*y1", "x1*y1*y0^3"),
                      ("y2^2*x1", "y2^2*x1*x0*y0"), ("x2*y2", "x2*y2*x1")]
     for small, large in pairs + stops_earlier:
@@ -379,9 +398,34 @@ def test_term_key_sorts_like_the_dense_key():
         assert term_key(ring, m1) < term_key(ring, m2), (small, large)
         assert dense_term_key(ring, m1) < dense_term_key(ring, m2), (small, large)
         _assert_keys_agree(ring, m2, m1)
-    for small, large in stops_earlier:
-        k1, k2 = term_key(ring, mono(small)), term_key(ring, mono(large))
-        assert k2[:len(k1)] == k1, (small, large)
+    # the key is additive, so multiplying by a monomial keeps the order
+    for small, large in pairs + stops_earlier:
+        m1, m2 = mono(small), mono(large)
+        assert term_key(ring, m1 * m2) == term_key(ring, m1) + term_key(ring, m2)
+
+
+def test_degree_bound_of_the_term_order(xyz_ring):
+    x = parse_poly("x^4294967295", xyz_ring)
+    assert str(x) == "x^4294967295"
+    assert str(parse_poly("y*x^4294967294", xyz_ring)) == "x^4294967294*y"
+    for text in ("x^4294967296", "x^2147483648*x^2147483648", "x^4294967295*y",
+                 "x + y^4294967296"):
+        with pytest.raises(ValueError, match=re.escape("degrees must be below 2^32")) as info:
+            parse_poly(text, xyz_ring)
+        assert not isinstance(info.value, ParseError), text
+    with pytest.raises(ValueError, match=re.escape("2^32")):
+        Monomial({0: 2**32})
+    with pytest.raises(ValueError, match=re.escape("2^32")):
+        Monomial({0: 2**31}) * Monomial({0: 2**31})
+    with pytest.raises(ValueError, match=re.escape("2^32")):
+        Monomial([(0, 2**31), (0, 2**31)])
+    assert Monomial({0: 2**31}) * Monomial({1: 2**31 - 1}) == Monomial({0: 2**31, 1: 2**31 - 1})
+    # Poly.__pow__ squares its way up to the bound and no further
+    assert str(parse_poly("x^65535", xyz_ring) ** 65536) == "x^4294901760"
+    with pytest.raises(ValueError, match=re.escape("2^32")):
+        parse_poly("x^65536", xyz_ring) ** 65536
+    with pytest.raises(ValueError, match=re.escape("2^32")):
+        x * parse_poly("y", xyz_ring)
 
 
 def test_poly_str_matches_the_dense_printer():
