@@ -144,11 +144,7 @@ def jets_ideal(s, I):
     """Jets of an ideal, as an ideal of the jet ring: the coefficients
     f_(i,j), j <= s, of every generator, grouped by generator with the
     highest order first; vanishing coefficients are dropped."""
-    return _jets_in(jet_ring(I.ring, s), I)
-
-
-def _jets_in(jets, I):
-    """The jets of I as an ideal of `jets.ring`, the jet ring of I's ring."""
+    jets = jet_ring(I.ring, s)
     return Ideal(jets.ring, [c for f in I.generators
                              for c in reversed(series_substitute(f, jets))])
 
@@ -158,8 +154,7 @@ def jets_quotient(s, R, I):
     jets of I as an ideal of its ring)."""
     if I.ring != R:
         raise ValueError("ideal does not live in the given ring")
-    jets = jet_ring(R, s)
-    return jets, _jets_in(jets, I)
+    return jet_ring(R, s), jets_ideal(s, I)
 
 
 @dataclass(eq=True)

@@ -45,21 +45,22 @@ def generic_matrix(R, m, n):
 def minors(r, M):
     """The ideal of all r x r minors, row sets then column sets in lex order.
 
-    The entries are distinct variables, so the r! Leibniz terms of a minor
-    are distinct squarefree monomials with coefficient +-1 and none cancel:
-    each minor is one dict over the permutations, with no Poly arithmetic.
+    The entries must be distinct variables (the text of each is a variable
+    name), so the r! Leibniz terms of a minor are distinct squarefree
+    monomials with coefficient +-1 and none cancel: each minor is one dict
+    over the permutations, with no Poly arithmetic.
     """
     if not 1 <= r <= min(M.rows, M.cols):
         raise ValueError(f"minor size {r} out of range for a {M.rows}x{M.cols} matrix")
-    index = [[next(iter(e._terms)).exps[0][0] for e in row] for row in M.entries]
-    signs = (Fraction(1), Fraction(-1))
-    perms = [(p, signs[sum(a > b for a, b in itertools.combinations(p, 2)) % 2])
+    index = [[M.ring.index(str(e)) for e in row] for row in M.entries]
+    if len({k for row in index for k in row}) < M.rows * M.cols:
+        raise ValueError("matrix entries are not distinct variables")
+    perms = [(p, Fraction((-1) ** sum(a > b for a, b in itertools.combinations(p, 2))))
              for p in itertools.permutations(range(r))]
     gens = []
     for rowset in itertools.combinations(range(M.rows), r):
-        rows = [index[i] for i in rowset]
         for colset in itertools.combinations(range(M.cols), r):
-            sub = [[row[j] for j in colset] for row in rows]
+            sub = [[index[i][j] for j in colset] for i in rowset]
             terms = {}
             for p, sign in perms:
                 support = sorted([row[j] for row, j in zip(sub, p)])

@@ -5,8 +5,8 @@ consecutive blocks.  A plain ring is a single untagged block; rings built
 by the jet construction tag each block with its jet order.  Terms are kept
 in graded reverse lexicographic order, comparing later blocks first, so a
 tower like QQ[x0,y0,z0][x1,y1,z1] prints with the outer (higher order)
-variables dominating.  `term_key` packs the order into one int, exact
-because every monomial's total degree is kept below 2^32.
+variables dominating.  `term_key` packs each nonzero field of the order
+into one int, exact while every monomial's total degree is below 2^32.
 
 Coefficients are `fractions.Fraction`, so all arithmetic is exact and
 every coefficient is stored with positive denominator in lowest terms.
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 _IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names and binding names
 _IDENT_RE = re.compile(_IDENT)
-_WIDTH = 32   # bits per field of the packed term order; degrees stay below 2^_WIDTH
+_WIDTH = 32   # bits of a field value in a term_key item; degrees stay below 2^_WIDTH
 
 
 class ParseError(ValueError):
@@ -90,12 +90,11 @@ class PolyRing:
 
     `blocks` is a tuple of (tag, size) pairs; a plain ring is ((None, n),).
     An optional `weights` tuple assigns one natural number per variable and
-    is used for weighted homogeneity checks.  `_key_weights` holds one int
-    per variable, the coefficients of `term_key`.
+    is used for weighted homogeneity checks.  `_key` holds, per variable,
+    the `term_key` ints of its block's degree field and its own, at value 0.
     """
 
-    __slots__ = ("variables", "blocks", "weights", "_names", "_by_name", "_key_weights",
-                 "_hash")
+    __slots__ = ("variables", "blocks", "weights", "_names", "_by_name", "_key", "_hash")
 
     def __init__(self, variables, blocks=None, weights=None):
         self.variables = tuple(variables)
@@ -116,11 +115,11 @@ class PolyRing:
                 raise ValueError("need one weight per variable")
         self.weights = weights
         # fields from the least significant: each block's variables, then its degree
-        self._key_weights = key_weights = []
+        self._key = fields = []
         pos = 0
         for _, size in self.blocks:
-            degree = 1 << _WIDTH * (pos + size)
-            key_weights += [degree - (1 << _WIDTH * p) for p in range(pos, pos + size)]
+            degree = (pos + size) << _WIDTH
+            fields += [(degree, -(p << _WIDTH)) for p in range(pos, pos + size)]
             pos += size + 1
         # a name determines its Variable, so names stand in for the variables
         self._hash = hash((self._names, self.blocks, self.weights))
@@ -180,8 +179,7 @@ def ring_make(variables, weights=None):
 class Monomial:
     """Sparse exponent map, stored as index-sorted (variable, exponent) pairs.
 
-    The empty monomial is 1; zero exponents are never stored, and the total
-    degree is below 2^32, the bound of `term_key`.
+    The empty monomial is 1; zero exponents are never stored; degrees are below 2^32.
     """
 
     __slots__ = ("exps",)
@@ -246,23 +244,30 @@ def _check_degree(d):
 
 
 def term_key(ring, mono):
-    """Sort key for monomials, ascending in the ring's canonical order: an int.
+    """Sort key for monomials, ascending in the ring's canonical order.
 
-    The dense key reads, per block from the last, the block's degree and
-    then the negated exponents from its last variable.  Stored as D - e
-    with D = 2^32 - 1, each entry is a natural below 2^32, so the row packs
-    into one int of 32-bit fields, the first block's variables in the
-    lowest fields and each block's degree just above its variables, and
-    int order is row order.  Dropping the constant leaves a linear form,
-    the sum of e * W[i] with W[i] = 2^(32 pos(block of i)) - 2^(32 pos(i)).
-    The key is exact while every block degree is below 2^32, which
-    `Monomial` and the parser enforce on the total degree.
+    The order reads a dense row of fields: per block from the last, its
+    degree, then its negated exponents from its last variable.  The key
+    lists the nonzero fields, most significant first, each packed with its
+    position p (counted from the least significant) into one int: p*2^32 + d
+    for a block degree d, -(p*2^32 + e) for an exponent e; then a 0.  At the
+    first difference, equal positions compare by value, and otherwise the
+    higher field's sign decides, as in the row; exact while degrees stay
+    below 2^32.  One int per variable and block of the monomial, whatever
+    the size of the ring.
     """
-    weights = ring._key_weights
-    key = 0
+    fields = ring._key
+    key = []   # from the lowest field up, reversed at the end; the first append is the 0
+    block = degree = 0
     for i, e in mono.exps:
-        key += e * weights[i]
-    return key
+        top, own = fields[i]
+        if top != block:
+            key.append(block + degree)
+            block, degree = top, 0
+        key.append(own - e)
+        degree += e
+    key.append(block + degree)
+    return tuple(key[::-1])
 
 
 def monomial_str(ring, mono):

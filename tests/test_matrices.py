@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from jetschemes import (generic_matrix, jets_ideal, minors, parse_variables,
-                        ring_make, run_script)
+from jetschemes import (GenericMatrix, generic_matrix, jets_ideal, minors,
+                        parse_variables, ring_make, run_script)
 
 from expected import GENERIC_3X3_ROWS
 from oracles import cofactor_det, leibniz_det
@@ -72,6 +72,26 @@ def test_minors_size2_match_leibniz(generic3):
             sub = [[generic3.entry(i, j) for j in colset] for i in rowset]
             expected.append(leibniz_det(generic3.ring, sub))
     assert list(I.generators) == expected
+
+
+def test_minors_refuse_entries_that_are_not_distinct_variables():
+    ring = ring_make(parse_variables("a,b,c"))
+    a, b, c = ring.gens()
+    symmetric = GenericMatrix(ring, 2, 2, ((a, b), (b, c)))
+    with pytest.raises(ValueError, match="not distinct variables"):
+        minors(2, symmetric)
+    other = ring_make(parse_variables("a,b,c,d"))
+    for bad in (a + b, a * a, 2 * a, ring.one(), other.var("d")):
+        M = GenericMatrix(ring, 2, 2, ((a, b), (c, bad)))
+        with pytest.raises(ValueError, match="is not a variable of"):
+            minors(1, M)
+
+
+def test_minors_of_a_hand_built_matrix_match_leibniz():
+    ring = ring_make(parse_variables("a,b,c,d"))
+    a, b, c, d = ring.gens()
+    M = GenericMatrix(ring, 2, 2, ((d, a), (b, c)))
+    assert list(minors(2, M).generators) == [leibniz_det(ring, M.entries)]
 
 
 def test_generator_counts():

@@ -356,10 +356,13 @@ def test_term_key_sorts_like_the_dense_key():
         rng.shuffle(monos)
         assert (sorted(monos, key=lambda m: term_key(ring, m))
                 == sorted(monos, key=lambda m: dense_term_key(ring, m)))
-        for m1, m2 in zip(monos, monos[1:]):
+        for m1, m2, m3 in zip(monos, monos[1:] + monos[:1], monos[2:] + monos[:2]):
             _assert_keys_agree(ring, m1, m2)
-            if m1.degree() + m2.degree() < 2**32:
-                assert term_key(ring, m1 * m2) == term_key(ring, m1) + term_key(ring, m2)
+            # a monomial order: multiplying by a monomial keeps the order
+            if max(m1.degree(), m2.degree()) + m3.degree() < 2**32:
+                _assert_keys_agree(ring, m1 * m3, m2 * m3)
+                assert ((term_key(ring, m1) < term_key(ring, m2))
+                        == (term_key(ring, m1 * m3) < term_key(ring, m2 * m3)))
         # injective on the sample: equal keys exactly for equal monomials
         assert len({term_key(ring, m) for m in monos}) == len(monos)
         assert all(term_key(ring, Monomial(m.exps)) == term_key(ring, m) for m in monos)
@@ -398,10 +401,29 @@ def test_term_key_sorts_like_the_dense_key():
         assert term_key(ring, m1) < term_key(ring, m2), (small, large)
         assert dense_term_key(ring, m1) < dense_term_key(ring, m2), (small, large)
         _assert_keys_agree(ring, m2, m1)
-    # the key is additive, so multiplying by a monomial keeps the order
+    # multiplying by a monomial keeps the order
     for small, large in pairs + stops_earlier:
         m1, m2 = mono(small), mono(large)
-        assert term_key(ring, m1 * m2) == term_key(ring, m1) + term_key(ring, m2)
+        for m3 in (mono("x0"), mono("y2^3"), mono("x1*y0"), m1, m2):
+            assert term_key(ring, m1 * m3) < term_key(ring, m2 * m3), (small, large, m3)
+
+
+def test_term_key_size_does_not_grow_with_the_ring():
+    """One int per variable and per block of the monomial, and the 0; each
+    int holds a field position below 2^14 and a value below 2^32."""
+    rings = [ring_make(parse_variables("x_(1)..x_(5000)")),
+             jet_ring(ring_make(parse_variables("x_(1)..x_(500)")), 9).ring]
+    for ring in rings:
+        n = len(ring.variables)
+        monos = [Monomial(), Monomial({n - 1: 1}), Monomial({0: 2, n - 1: 1}),
+                 Monomial({1: 1, n - 2: 2}), Monomial({0: 1, 700: 3, n - 2: 2**32 - 5})]
+        blocks = [0, 1, 2, 2, 3] if len(ring.blocks) > 1 else [0, 1, 1, 1, 1]
+        for m, touched in zip(monos, blocks):
+            key = term_key(ring, m)
+            assert len(key) == len(m.exps) + touched + 1
+            assert all(k.bit_length() <= 46 for k in key)
+        for m1, m2 in itertools.combinations(monos, 2):
+            _assert_keys_agree(ring, m1, m2)
 
 
 def test_degree_bound_of_the_term_order(xyz_ring):
