@@ -2,7 +2,7 @@
 
 from .poly import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
                    is_homogeneous, monomial_str, parse_poly, parse_polys,
-                   parse_variables, ring_make, term_key)
+                   parse_variables, term_key)
 from .jets import (JetRing, RingMap, compose, jet_ring, jets_ideal, jets_quotient,
                    jets_ring_map, series_substitute)
 from .monomial import (MonomialIdeal, is_monomial_ideal, jets_radical,
@@ -17,7 +17,7 @@ from .cli import emit_json, run_script
 __all__ = [
     "Ideal", "Monomial", "ParseError", "Poly", "PolyRing", "Variable",
     "is_homogeneous", "monomial_str", "parse_poly", "parse_polys",
-    "parse_variables", "ring_make", "term_key",
+    "parse_variables", "term_key",
     "JetRing", "RingMap", "compose", "jet_ring", "jets_ideal", "jets_quotient",
     "jets_ring_map", "series_substitute",
     "MonomialIdeal", "is_monomial_ideal", "jets_radical",

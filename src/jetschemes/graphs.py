@@ -15,9 +15,11 @@ come from Berge's transversal sweep in `monomial`.
 from __future__ import annotations
 
 from .poly import Monomial, PolyRing, Variable, _Cursor, _split_name, _variables
-from .jets import jet_ring
+from .jets import _jet_variables
 from .monomial import (MonomialIdeal, _by_size, _jet_supports, _members, _minimal_masks,
                        _transversals)
+
+_CHROMATIC_BOUND = 32   # the most vertices `chromatic_number` will search
 
 
 def _resolver(vertices):
@@ -141,7 +143,7 @@ def _jet_edges(s, G):
     Each tuple is sorted, and no two are equal: a tuple maps back to its
     edge (index k to vertex k mod n), and the tuples of one edge differ
     in their orders."""
-    vertices = jet_ring(PolyRing(G.vertices), s).ring.variables
+    vertices = tuple(_jet_variables(G.vertices, s))
     n = len(G.vertices)
     return vertices, [idx for edge in G.edges
                       for idx in _jet_supports([(i, 1) for i in edge], s, n)]
@@ -195,7 +197,7 @@ def is_chordal(G):
     return True
 
 
-def chromatic_number(G, max_vertices=32):
+def chromatic_number(G):
     """Exact chromatic number by iterated k-colorability search.
 
     k runs from a greedy clique lower bound up to a greedy coloring upper
@@ -204,8 +206,8 @@ def chromatic_number(G, max_vertices=32):
     vertex masks.
     """
     n = len(G.vertices)
-    if n > max_vertices:
-        raise ValueError(f"graph has {n} vertices, above the bound {max_vertices}")
+    if n > _CHROMATIC_BOUND:
+        raise ValueError(f"graph has {n} vertices, above the bound {_CHROMATIC_BOUND}")
     if n == 0:
         return 0
     if not G.edges:

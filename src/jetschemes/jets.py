@@ -31,44 +31,41 @@ from .poly import Ideal, Monomial, Poly, PolyRing, Variable
 
 @dataclass(eq=True)
 class JetRing:
-    """The jet ring of a base ring: (s+1) blocks of relabeled variables.
+    """The order-s jet ring of a base ring of n variables.
 
-    `ring` is the flattened polynomial ring; block j holds the order-j jet
-    of every base variable, in base order, and carries weight j.
+    `ring` is the flattened polynomial ring, in s+1 blocks of n: the
+    order-j jet of base variable k is `ring.variables[j*n + k]`.
     """
 
     base: PolyRing
     order: int
     ring: PolyRing
-    jet_vars: dict
-
-    def jet_var(self, v, j):
-        """The order-j jet variable of base variable `v`, as a polynomial."""
-        return self.ring.var(self.jet_vars[v][j])
 
     def __str__(self):
         return str(self.ring)
 
 
-def jet_ring(base, s):
-    """Build the order-s jet ring of a plain (single block, untagged) ring."""
+def _jet_variables(variables, s):
+    """The jets of `variables` at orders 0..s: the order-0 jets in the given
+    order, then the order-1 jets, and so on; a variable that is already a
+    jet is refused."""
     if s < 0:
         raise ValueError("jet order must be a natural number")
-    if any(tag is not None for tag, _ in base.blocks):
-        raise ValueError("ring already has jet blocks; iterated jets are not supported")
-    if any(v.jet_order is not None for v in base.variables):
-        raise ValueError("ring already has jet variables; iterated jets are not supported")
-    n = len(base.variables)
-    # the base variables were checked, so their jets are too; each jet name
+    for v in variables:
+        if v.jet_order is not None:
+            raise ValueError(f"{v.name} is already a jet variable; iterated jets are not supported")
+    # the given variables were checked, so their jets are too; each jet name
     # is the base name with the order spliced in after the base ("x_(1)" -> "x2_(1)")
-    variables = [Variable._trusted(v.base, v.subscripts, j,
-                                   v.base + str(j) + v.name[len(v.base):])
-                 for j in range(s + 1) for v in base.variables]
-    blocks = tuple((j, n) for j in range(s + 1))
-    weights = tuple(j for j in range(s + 1) for _ in range(n))
-    ring = PolyRing(variables, blocks, weights)
-    jet_vars = {v: ring.variables[k::n] for k, v in enumerate(base.variables)}
-    return JetRing(base, s, ring, jet_vars)
+    return [Variable._trusted(v.base, v.subscripts, j,
+                              v.base + str(j) + v.name[len(v.base):])
+            for j in range(s + 1) for v in variables]
+
+
+def jet_ring(base, s):
+    """Build the order-s jet ring of a ring of variables that are not jets."""
+    variables = _jet_variables(base.variables, s)
+    n = len(base.variables)
+    return JetRing(base, s, PolyRing(variables, (n,) * (s + 1)))
 
 
 def _power_table(e, s):
@@ -172,10 +169,6 @@ class RingMap:
         for g in self.images:
             if g.ring != self.target:
                 raise ValueError("image lives outside the target ring")
-
-    @classmethod
-    def identity(cls, R):
-        return cls(R, R, tuple(R.gens()))
 
     def __call__(self, f):
         if f.ring != self.source:

@@ -1,12 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A ring is an ordered list of named variables over QQ, partitioned into
-consecutive blocks.  A plain ring is a single untagged block; rings built
-by the jet construction tag each block with its jet order.  Terms are kept
-in graded reverse lexicographic order, comparing later blocks first, so a
-tower like QQ[x0,y0,z0][x1,y1,z1] prints with the outer (higher order)
-variables dominating.  `term_key` packs each nonzero field of the order
-into one int, exact while every monomial's total degree is below 2^32.
+consecutive blocks, given by their sizes.  A plain ring is a single
+block; the order-s jet ring of n variables has s+1 blocks of n, one per
+jet order.  Terms are kept in graded reverse lexicographic order,
+comparing later blocks first, so a tower like QQ[x0,y0,z0][x1,y1,z1]
+prints with the outer (higher order) variables dominating.  `term_key`
+packs each nonzero field of the order into one int, exact while every
+monomial's total degree is below 2^32.
 
 Coefficients are `fractions.Fraction`, so all arithmetic is exact and
 every coefficient is stored with positive denominator in lowest terms.
@@ -86,43 +87,38 @@ def _subscripted(text, subscripts):
 
 
 class PolyRing:
-    """Ordered variables over QQ, split into consecutive jet-order blocks.
+    """Ordered variables over QQ, split into consecutive blocks.
 
-    `blocks` is a tuple of (tag, size) pairs; a plain ring is ((None, n),).
-    An optional `weights` tuple assigns one natural number per variable and
-    is used for weighted homogeneity checks.  `_key` holds, per variable,
-    the `term_key` ints of its block's degree field and its own, at value 0.
+    `blocks` is the tuple of the blocks' sizes; a plain ring is (n,), and
+    a jet ring (n,) * (s+1).  A jet variable carries its own order, as
+    `Variable.jet_order`.  `_key` holds, per variable, the `term_key` ints
+    of its block's degree field and its own, at value 0.
     """
 
-    __slots__ = ("variables", "blocks", "weights", "_names", "_by_name", "_key", "_hash")
+    __slots__ = ("variables", "blocks", "_names", "_by_name", "_key", "_hash")
 
-    def __init__(self, variables, blocks=None, weights=None):
+    def __init__(self, variables, blocks=None):
         self.variables = tuple(variables)
         n = len(self.variables)
         if blocks is None:
-            blocks = ((None, n),)
-        self.blocks = tuple((tag, int(size)) for tag, size in blocks)
-        if sum(size for _, size in self.blocks) != n:
+            blocks = (n,)
+        self.blocks = tuple(int(size) for size in blocks)
+        if sum(self.blocks) != n or min(self.blocks, default=0) < 0:
             raise ValueError("blocks do not partition the variable list")
         self._names = tuple(v.name for v in self.variables)
         self._by_name = {name: i for i, name in enumerate(self._names)}
         if len(self._by_name) != n:
             name = next(v for i, v in enumerate(self._names) if self._by_name[v] != i)
             raise ValueError(f"duplicate variable {name}")
-        if weights is not None:
-            weights = tuple(int(w) for w in weights)
-            if len(weights) != n:
-                raise ValueError("need one weight per variable")
-        self.weights = weights
         # fields from the least significant: each block's variables, then its degree
         self._key = fields = []
         pos = 0
-        for _, size in self.blocks:
+        for size in self.blocks:
             degree = (pos + size) << _WIDTH
             fields += [(degree, -(p << _WIDTH)) for p in range(pos, pos + size)]
             pos += size + 1
         # a name determines its Variable, so names stand in for the variables
-        self._hash = hash((self._names, self.blocks, self.weights))
+        self._hash = hash((self._names, self.blocks))
 
     def index(self, v):
         """The index of a variable, given as a Variable or by its name."""
@@ -152,8 +148,7 @@ class PolyRing:
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and self.variables == other.variables
-                and self.blocks == other.blocks
-                and self.weights == other.weights)
+                and self.blocks == other.blocks)
 
     def __hash__(self):
         return self._hash
@@ -161,7 +156,7 @@ class PolyRing:
     def __str__(self):
         parts = []
         start = 0
-        for _, size in self.blocks:
+        for size in self.blocks:
             names = ",".join(v.name for v in self.variables[start:start + size])
             parts.append(f"[{names}]")
             start += size
@@ -169,11 +164,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({self})"
-
-
-def ring_make(variables, weights=None):
-    """Build a plain single-block ring from an ordered variable list."""
-    return PolyRing(variables, None, weights)
 
 
 class Monomial:
@@ -216,10 +206,6 @@ class Monomial:
 
     def is_squarefree(self):
         return all(e == 1 for _, e in self.exps)
-
-    def divides(self, other):
-        it = dict(other.exps)
-        return all(it.get(i, 0) >= e for i, e in self.exps)
 
     def __mul__(self, other):
         return Monomial(self.exps + other.exps)

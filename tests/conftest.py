@@ -1,13 +1,13 @@
 import pytest
 
-from jetschemes import Graph, Ideal, Variable, parse_poly, parse_variables, ring_make
+from jetschemes import Graph, Ideal, PolyRing, Variable, parse_poly, parse_variables
 
 from expected import DEMO_EDGES
 
 
 @pytest.fixture
 def xyz_ring():
-    return ring_make(parse_variables("x,y,z"))
+    return PolyRing(parse_variables("x,y,z"))
 
 
 @pytest.fixture

@@ -66,6 +66,12 @@ def dense_pow(a, k, nvars):
     return out
 
 
+def monomial_divides(a, b):
+    """Whether monomial a divides b: no exponent of a exceeds b's."""
+    exps = dict(b.exps)
+    return all(exps.get(i, 0) >= e for i, e in a.exps)
+
+
 def dense_term_key(ring, mono):
     """The ring's monomial order on a dense exponent vector, block by block.
 
@@ -105,7 +111,7 @@ def dense_poly_str(f):
 
 def _block_slices(ring):
     start = 0
-    for _, size in ring.blocks:
+    for size in ring.blocks:
         yield start, start + size
         start += size
 
@@ -118,13 +124,14 @@ def series_by_full_expansion(f, jr):
     splits the result by the parameter's exponent.
     """
     njet = len(jr.ring.variables)
+    nbase = len(jr.base.variables)
     n = njet + 1
     subs = []
-    for v in jr.base.variables:
+    for k in range(nbase):
         s = {}
-        for j, jvar in enumerate(jr.jet_vars[v]):
+        for j in range(jr.order + 1):
             e = [0] * n
-            e[jr.ring.index(jvar)] = 1
+            e[j * nbase + k] = 1   # the order-j jet of base variable k
             e[-1] = j
             s[tuple(e)] = Fraction(1)
         subs.append(s)

@@ -210,6 +210,14 @@ def test_main_degree_bound_exit_1(tmp_path, capsys):
                                        "degrees must be below 2^32\n")
 
 
+def test_main_iterated_graph_jets_exit_1(tmp_path, capsys):
+    path = tmp_path / "iterated.txt"
+    path.write_text("graph G = a-b; graph H = graphjets 1 G; graphjets 1 H;", encoding="utf-8")
+    assert main(["--script", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: a0 is already a jet variable; "
+                                       "iterated jets are not supported\n")
+
+
 def test_main_missing_file_exit_1(tmp_path, capsys):
     assert main(["--script", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -307,8 +315,8 @@ def test_every_result_kind_as_json():
 
 
 def test_emit_json_of_a_jet_ideal():
-    from jetschemes import Ideal, emit_json, jets_ideal, parse_poly, parse_variables, ring_make
-    ring = ring_make(parse_variables("x,y"))
+    from jetschemes import Ideal, PolyRing, emit_json, jets_ideal, parse_poly, parse_variables
+    ring = PolyRing(parse_variables("x,y"))
     jets = jets_ideal(1, Ideal(ring, [parse_poly("x^2-1/2*y", ring)]))
     assert emit_json(jets) == ('{"generators":["2*x0*x1-1/2*y1","x0^2-1/2*y0"],'
                                '"kind":"ideal","ring":["x0","y0","x1","y1"]}')

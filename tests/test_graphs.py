@@ -4,12 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, ParseError, Variable,
-                        chromatic_number, complement_graph, edge_ideal,
-                        graph_from_edge_ideal, is_chordal, jets_graph,
+from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, ParseError, PolyRing,
+                        Variable, chromatic_number, complement_graph, edge_ideal,
+                        graph_from_edge_ideal, is_chordal, jet_ring, jets_graph,
                         jets_hypergraph, minimal_primes_squarefree,
                         minimal_transversals, minimal_vertex_covers, monomial_str,
-                        parse_graph_text, parse_variables, ring_make)
+                        parse_graph_text, parse_variables)
 
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
 from oracles import (brute_chromatic, brute_minimal_covers, chordal_by_induced_cycles,
@@ -49,14 +49,14 @@ def test_graph_from_edge_ideal_roundtrip(demo_graph):
 
 
 def test_graph_from_edge_ideal_pair():
-    ring = ring_make(parse_variables("a,b,c,d"))
+    ring = PolyRing(parse_variables("a,b,c,d"))
     I = MonomialIdeal(ring, [Monomial({0: 1, 2: 1}), Monomial({1: 1, 3: 1})])
     G = graph_from_edge_ideal(I)
     assert _edge_names(G) == [{"a", "c"}, {"b", "d"}]
 
 
 def test_graph_from_edge_ideal_rejects_cubics():
-    ring = ring_make(parse_variables("a,b,c"))
+    ring = PolyRing(parse_variables("a,b,c"))
     I = MonomialIdeal(ring, [Monomial({0: 1, 1: 1, 2: 1})])
     with pytest.raises(ValueError, match="degree 3"):
         graph_from_edge_ideal(I)
@@ -147,6 +147,39 @@ def test_jets_graphs_match_term_collection():
         H = HyperGraph(G.vertices, [rng.sample(range(n), rng.randint(1, min(n, 3)))
                                     for _ in range(rng.randint(0, 4))])
         assert jets_hypergraph(s, H) == jets_hypergraph_by_terms(s, H)
+
+
+def test_graph_jets_agree_with_the_ring_path():
+    # graph jets build their vertices without a ring; they must be the
+    # variables of the jet ring of the vertices, in order, name and hash
+    rng = random.Random(60603)
+    boxes = [parse_variables("x_(1,1)..x_(2,3),y"), parse_variables("u,v_(0),w_(2,10)")]
+    for _ in range(40):
+        if rng.random() < 0.5:
+            G = random_graph(rng, rng.randint(1, 6))
+        else:
+            vertices = rng.choice(boxes)
+            n = len(vertices)
+            G = Graph(vertices, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < 0.4])
+        n = len(G.vertices)
+        H = HyperGraph(G.vertices, [rng.sample(range(n), rng.randint(1, min(n, 3)))
+                                    for _ in range(rng.randint(0, 4))])
+        for s in range(5):
+            want = jet_ring(PolyRing(G.vertices), s).ring.variables
+            for got in (jets_graph(s, G).vertices, jets_hypergraph(s, H).vertices):
+                assert got == want
+                assert [v.name for v in got] == [v.name for v in want]
+                assert [hash(v) for v in got] == [hash(v) for v in want]
+
+
+def test_iterated_graph_jets_name_the_vertex():
+    a, b = Variable("a"), Variable("b")
+    message = r"^a0 is already a jet variable; iterated jets are not supported$"
+    with pytest.raises(ValueError, match=message):
+        jets_graph(1, jets_graph(1, Graph([a, b], [(a, b)])))
+    with pytest.raises(ValueError, match=message):
+        jets_hypergraph(1, jets_hypergraph(1, HyperGraph([a, b], [(a, b)])))
 
 
 def test_cochordality_of_demo_jets(demo_graph):
@@ -295,9 +328,13 @@ def test_chromatic_leaves_no_garbage_cycles():
         gc.enable()
 
 
-def test_chromatic_size_bound(demo_graph):
-    with pytest.raises(ValueError, match="above the bound"):
-        chromatic_number(jets_graph(2, demo_graph), max_vertices=10)
+def test_chromatic_size_bound():
+    # 33 vertices are refused before any search; 32 pass the bound
+    a, b, c = (Variable(ch) for ch in "abc")
+    triangle = Graph([a, b, c], [(a, b), (b, c), (a, c)])
+    with pytest.raises(ValueError, match="^graph has 33 vertices, above the bound 32$"):
+        chromatic_number(jets_graph(10, triangle))
+    assert chromatic_number(Graph(parse_variables("x_(1)..x_(32)"), [])) == 1
 
 
 def test_demo_covers(demo_graph):

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from jetschemes import (GenericMatrix, generic_matrix, jets_ideal, minors,
-                        parse_variables, ring_make, run_script)
+from jetschemes import (GenericMatrix, PolyRing, generic_matrix, jets_ideal, minors,
+                        parse_variables, run_script)
 
 from expected import GENERIC_3X3_ROWS
 from oracles import cofactor_det, leibniz_det
@@ -12,7 +12,7 @@ from oracles import cofactor_det, leibniz_det
 
 @pytest.fixture
 def generic3():
-    ring = ring_make(parse_variables("x_(1,1)..x_(3,3)"))
+    ring = PolyRing(parse_variables("x_(1,1)..x_(3,3)"))
     return generic_matrix(ring, 3, 3)
 
 
@@ -23,20 +23,20 @@ def test_generic_matrix_display(generic3):
 
 
 def test_generic_matrix_column():
-    ring = ring_make(parse_variables("a,b"))
+    ring = PolyRing(parse_variables("a,b"))
     M = generic_matrix(ring, 2, 1)
     assert [str(M.entry(i, 0)) for i in range(2)] == ["a", "b"]
 
 
 def test_generic_matrix_needs_enough_variables():
-    ring = ring_make(parse_variables("a"))
+    ring = PolyRing(parse_variables("a"))
     with pytest.raises(ValueError, match="need 4"):
         generic_matrix(ring, 2, 2)
 
 
 @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0)])
 def test_generic_matrix_needs_a_row_and_a_column(m, n):
-    ring = ring_make(parse_variables("a,b"))
+    ring = PolyRing(parse_variables("a,b"))
     with pytest.raises(ValueError, match=f"a {m}x{n} matrix"):
         generic_matrix(ring, m, n)
     with pytest.raises(ValueError, match=f"a {m}x{n} matrix"):
@@ -75,12 +75,12 @@ def test_minors_size2_match_leibniz(generic3):
 
 
 def test_minors_refuse_entries_that_are_not_distinct_variables():
-    ring = ring_make(parse_variables("a,b,c"))
+    ring = PolyRing(parse_variables("a,b,c"))
     a, b, c = ring.gens()
     symmetric = GenericMatrix(ring, 2, 2, ((a, b), (b, c)))
     with pytest.raises(ValueError, match="not distinct variables"):
         minors(2, symmetric)
-    other = ring_make(parse_variables("a,b,c,d"))
+    other = PolyRing(parse_variables("a,b,c,d"))
     for bad in (a + b, a * a, 2 * a, ring.one(), other.var("d")):
         M = GenericMatrix(ring, 2, 2, ((a, b), (c, bad)))
         with pytest.raises(ValueError, match="is not a variable of"):
@@ -88,14 +88,14 @@ def test_minors_refuse_entries_that_are_not_distinct_variables():
 
 
 def test_minors_of_a_hand_built_matrix_match_leibniz():
-    ring = ring_make(parse_variables("a,b,c,d"))
+    ring = PolyRing(parse_variables("a,b,c,d"))
     a, b, c, d = ring.gens()
     M = GenericMatrix(ring, 2, 2, ((d, a), (b, c)))
     assert list(minors(2, M).generators) == [leibniz_det(ring, M.entries)]
 
 
 def test_generator_counts():
-    ring = ring_make(parse_variables("x_(1,1)..x_(4,4)"))
+    ring = PolyRing(parse_variables("x_(1,1)..x_(4,4)"))
     for m, n in ((2, 3), (3, 3), (4, 4)):
         M = generic_matrix(ring, m, n)
         for r in range(1, min(m, n) + 1):
@@ -103,7 +103,7 @@ def test_generator_counts():
 
 
 def test_cofactor_matches_leibniz_up_to_4x4():
-    ring = ring_make(parse_variables("x_(1,1)..x_(4,4)"))
+    ring = PolyRing(parse_variables("x_(1,1)..x_(4,4)"))
     for m, n in ((4, 4), (3, 4), (4, 2)):
         M = generic_matrix(ring, m, n)
         for size in range(1, min(m, n) + 1):
@@ -121,7 +121,7 @@ def test_cofactor_matches_leibniz_up_to_4x4():
 
 def test_minors_match_sympy_determinants():
     sympy = pytest.importorskip("sympy")
-    ring = ring_make(parse_variables("x_(1,1)..x_(5,5)"))
+    ring = PolyRing(parse_variables("x_(1,1)..x_(5,5)"))
     M = generic_matrix(ring, 4, 5)
     symbols = sympy.symbols(f"v0:{len(ring.variables)}")   # v_k is variable k
     S = sympy.Matrix(4, 5, lambda i, j: symbols[j * 4 + i])
@@ -140,7 +140,7 @@ def test_minors_match_sympy_determinants():
 
 def test_jets_of_minors_generator_counts():
     for m, n in ((2, 2), (2, 3), (3, 3)):
-        ring = ring_make(parse_variables(f"x_(1,1)..x_({m},{n})"))
+        ring = PolyRing(parse_variables(f"x_(1,1)..x_({m},{n})"))
         M = generic_matrix(ring, m, n)
         for r in range(1, min(m, n) + 1):
             for s in range(3):

@@ -18,7 +18,7 @@ name, an undeclared vertex or an empty graph at the body's first token.
 
 import pytest
 
-from jetschemes import ParseError, parse_poly, parse_variables, ring_make
+from jetschemes import ParseError, PolyRing, parse_poly, parse_variables
 from jetschemes.cli import run_script
 
 POLY_ERRORS = [
@@ -116,7 +116,7 @@ SCRIPT_ERRORS = [
 ]
 
 
-_RING = ring_make(parse_variables("x,y,z,x_(1,1),x_(1,2)"))
+_RING = PolyRing(parse_variables("x,y,z,x_(1,1),x_(1,2)"))
 PARSERS = {"poly": lambda text: parse_poly(text, _RING),
            "variables": parse_variables,
            "script": run_script}

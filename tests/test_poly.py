@@ -8,20 +8,20 @@ import pytest
 
 from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
                         is_homogeneous, jet_ring, parse_poly, parse_polys,
-                        parse_variables, ring_make, term_key)
+                        parse_variables, term_key)
 
 from oracles import (dense_from_poly, dense_mul, dense_poly_str, dense_term_key,
                      poly_from_terms, random_poly)
 
 
-def test_ring_make_three_variables(xyz_ring):
+def test_plain_ring_three_variables(xyz_ring):
     assert len(xyz_ring.variables) == 3
-    assert xyz_ring.blocks == ((None, 3),)
+    assert xyz_ring.blocks == (3,)
     assert str(xyz_ring) == "QQ[x,y,z]"
 
 
-def test_ring_make_subscripted_box():
-    ring = ring_make(parse_variables("x_(1,1)..x_(3,3)"))
+def test_plain_ring_subscripted_box():
+    ring = PolyRing(parse_variables("x_(1,1)..x_(3,3)"))
     assert len(ring.variables) == 9
     assert ring.variables[0].name == "x_(1,1)"
     assert ring.variables[1].name == "x_(1,2)"
@@ -54,9 +54,17 @@ def test_letter_range():
     assert [v.name for v in vs] == ["a", "b", "c", "d", "e"]
 
 
-def test_ring_make_duplicate_rejected():
+def test_plain_ring_duplicate_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        ring_make([Variable("x"), Variable("x")])
+        PolyRing([Variable("x"), Variable("x")])
+
+
+def test_blocks_must_partition_the_variables():
+    variables = parse_variables("a,b,c")
+    for blocks in ((2,), (3, 1), (3, -1, 1), (4, -1)):
+        with pytest.raises(ValueError, match="blocks do not partition"):
+            PolyRing(variables, blocks)
+    assert str(PolyRing(variables, (1, 0, 2))) == "QQ[a][][b,c]"
 
 
 def test_variable_base_may_not_end_in_digit():
@@ -181,7 +189,7 @@ def test_jet_variable_names():
 
 
 def test_subscripted_parse_roundtrip():
-    ring = ring_make(parse_variables("x_(1,1)..x_(2,2)"))
+    ring = PolyRing(parse_variables("x_(1,1)..x_(2,2)"))
     f = parse_poly("x_(1,1)*x_(2,2)-x_(1,2)*x_(2,1)", ring)
     assert str(f) == "-x_(1,2)*x_(2,1)+x_(1,1)*x_(2,2)"
     assert parse_poly(str(f), ring) == f
@@ -241,9 +249,9 @@ def _random_poly_text(rng, ring):
 
 
 def test_parse_poly_matches_the_constructor_oracle():
-    rings = [ring_make(parse_variables("x,y,z,w")),
-             ring_make(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
-             jet_ring(ring_make(parse_variables("x,y_(1,2)")), 2).ring]
+    rings = [PolyRing(parse_variables("x,y,z,w")),
+             PolyRing(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
+             jet_ring(PolyRing(parse_variables("x,y_(1,2)")), 2).ring]
     rng = random.Random(9)
     for k in range(600):
         ring = rings[k % 3]
@@ -260,9 +268,9 @@ def test_parse_poly_matches_the_constructor_oracle():
 def test_parse_polys_matches_parse_poly_on_each_text():
     # one cursor over the whole list: a comma inside a spelled-out subscript
     # ("x _( 1 , 2 )") stays in its name, and only the others split the list
-    rings = [ring_make(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
-             jet_ring(ring_make(parse_variables("x,y_(1,2)")), 2).ring,
-             ring_make(parse_variables("x,y,z,w"))]
+    rings = [PolyRing(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
+             jet_ring(PolyRing(parse_variables("x,y_(1,2)")), 2).ring,
+             PolyRing(parse_variables("x,y,z,w"))]
     rng = random.Random(11)
     spelled_commas = 0
     for k in range(300):
@@ -301,7 +309,7 @@ def test_is_homogeneous(xyz_ring):
 
 
 def test_ring_mismatch_rejected(xyz_ring):
-    other = ring_make(parse_variables("u,v"))
+    other = PolyRing(parse_variables("u,v"))
     with pytest.raises(ValueError, match="different rings"):
         xyz_ring.var("x") + other.var("u")
 
@@ -312,7 +320,7 @@ def test_ideal_drops_zero_generators(xyz_ring):
 
 
 def test_ideal_generator_ring_checked(xyz_ring):
-    other = ring_make(parse_variables("u"))
+    other = PolyRing(parse_variables("u"))
     with pytest.raises(ValueError):
         Ideal(xyz_ring, [other.var("u")])
 
@@ -332,11 +340,10 @@ def _random_big_monomial(rng, nvars):
 
 
 def _key_test_rings():
-    plain = [ring_make(parse_variables(names)) for names in ("x", "x,y,z", "a..h")]
+    plain = [PolyRing(parse_variables(names)) for names in ("x", "x,y,z", "a..h")]
     jets = [jet_ring(ring, s).ring for ring in plain[:2] for s in range(6)]
     mixed = [PolyRing([Variable(ch) for ch in "abcdefg"], blocks)
-             for blocks in (((None, 2), (1, 3), (2, 2)), ((0, 1), (1, 5), (2, 1)),
-                            ((None, 7),), ((0, 3), (1, 4)))]
+             for blocks in ((2, 3, 2), (1, 5, 1), (7,), (3, 4))]
     return plain + jets + mixed
 
 
@@ -376,7 +383,7 @@ def test_term_key_sorts_like_the_dense_key():
                 _assert_keys_agree(ring, Monomial({i: top - 1, i - 1: 1}), m2)
 
     # a 3-block jet ring x0,y0 | x1,y1 | x2,y2, with hand-picked pairs (smaller, larger)
-    ring = jet_ring(ring_make(parse_variables("x,y")), 2).ring
+    ring = jet_ring(PolyRing(parse_variables("x,y")), 2).ring
 
     def mono(text):
         (m,) = parse_poly(text, ring)._terms
@@ -411,8 +418,8 @@ def test_term_key_sorts_like_the_dense_key():
 def test_term_key_size_does_not_grow_with_the_ring():
     """One int per variable and per block of the monomial, and the 0; each
     int holds a field position below 2^14 and a value below 2^32."""
-    rings = [ring_make(parse_variables("x_(1)..x_(5000)")),
-             jet_ring(ring_make(parse_variables("x_(1)..x_(500)")), 9).ring]
+    rings = [PolyRing(parse_variables("x_(1)..x_(5000)")),
+             jet_ring(PolyRing(parse_variables("x_(1)..x_(500)")), 9).ring]
     for ring in rings:
         n = len(ring.variables)
         monos = [Monomial(), Monomial({n - 1: 1}), Monomial({0: 2, n - 1: 1}),
