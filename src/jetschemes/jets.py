@@ -13,12 +13,11 @@ monomial m of f back to m, so different monomials of f never share a
 jet monomial; and the variables of m expand into disjoint sets of jet
 variables, so terms can only combine inside one power
 (x_{k,0} + x_{k,1} t + ... + x_{k,s} t^s)^e.  That power is an integer
-table, the same for every variable up to relabeling: for each t-degree
-j <= s, the multisets of orders summing to j with their multinomial
-counts.  Each term of f is then a truncated convolution of the tables of
-its variables, scaled once by its rational coefficient, and every jet
-monomial it yields is distinct, so the coefficients of t^0..t^s are
-exactly those of the full expansion.
+table on the jet indices of x_k: for each t-degree j <= s, the multisets
+of orders summing to j with their multinomial counts.  Each term of f is
+a truncated convolution of the tables of its variables, scaled by its
+coefficient once per distinct count; no two jet monomials it yields are
+equal, so the t^0..t^s coefficients are those of the full expansion.
 """
 
 from __future__ import annotations
@@ -68,26 +67,28 @@ def jet_ring(base, s):
     return JetRing(base, s, PolyRing(variables, (n,) * (s + 1)))
 
 
-def _power_table(e, s):
-    """(y_0 + y_1 t + ... + y_s t^s)^e modulo t^(s+1), on integers.
+def _power_table(e, s, i, n):
+    """(x_{i,0} + x_{i,1} t + ... + x_{i,s} t^s)^e modulo t^(s+1), with
+    integer counts, on the jet indices o*n + i of a base ring of n variables.
 
-    Entry d lists the terms of t^d as (((order, mult), ...), count): the
-    orders ascend, the mults sum to e, and count is the multinomial
-    e! / prod(mult!).  Orders s..1 are placed first; order 0 takes what
-    is left of e.
+    Entry d lists the terms of t^d as (((o*n + i, mult), ...), count): the
+    indices ascend, the mults sum to e, and count is the multinomial
+    e! / prod(mult!).  Depth first, each pattern is built once: a stacked
+    one fixes the mults of the orders above `top`, is emitted with order 0
+    taking the rest of e, and grows by each lower nonzero order.
     """
-    partial = [((), e, 0, 1)]   # (pattern, multiplicity left, t-degree, count)
-    for o in range(s, 0, -1):
-        grown = []
-        for pattern, left, d, count in partial:
-            grown.append((pattern, left, d, count))
-            for m in range(1, min(left, (s - d) // o) + 1):
-                grown.append((((o, m),) + pattern, left - m, d + m * o,
-                              count * comb(left, m)))
-        partial = grown
     table = [[] for _ in range(s + 1)]
-    for pattern, left, d, count in partial:
-        table[d].append((((0, left),) + pattern if left else pattern, count))
+    stack = [((), e, 0, 1, s)]   # (pattern, multiplicity left, t-degree, count, top)
+    while stack:
+        pattern, left, d, count, top = stack.pop()
+        if not left:
+            table[d].append((pattern, count))
+            continue
+        table[d].append((((i, left),) + pattern, count))
+        for o in range(min(top, s - d), 0, -1):
+            for m in range(1, min(left, (s - d) // o) + 1):
+                stack.append((((o * n + i, m),) + pattern, left - m, d + m * o,
+                              count * comb(left, m), o - 1))
     return table
 
 
@@ -97,31 +98,27 @@ def series_substitute(f, jets):
     Returns the tuple of s+1 polynomials of the jet ring whose j-th entry
     is the t^j part of f(sum_j x_{1,j} t^j, ..., sum_j x_{n,j} t^j).
 
-    Since no two terms of the expansion share a jet monomial (see the
-    module docstring), each term c*m of f contributes the t-degree
-    convolution, truncated at s, of the power tables of its variables,
-    scaled by c.  One table is built per exponent and relabeled once per
-    (variable, exponent), order o of variable k going to jet index
-    o*n + k; both live for this call only.  Each coefficient is built
-    once, as a Poly on normalized terms.
+    No two terms of the expansion share a jet monomial (see the module
+    docstring): each term c*m of f gives the convolution, truncated at s,
+    of the power tables of its variables, built once per (variable,
+    exponent) and call on jet indices, and c is scaled once per distinct
+    multinomial count.  Each coefficient is one Poly on normalized terms.
     """
     if f.ring != jets.base:
         raise ValueError("polynomial does not live in the base ring")
     s = jets.order
     n = len(jets.base.variables)
-    tables = {}    # exponent -> _power_table
-    factors = {}   # (variable, exponent) -> its table on jet indices
+    tables = {}   # (variable, exponent) -> _power_table
     out = [{} for _ in range(s + 1)]
     for mono, coef in f._terms.items():
-        partial = [[((), 1)]] + [[] for _ in range(s)]
+        partial = None if mono.exps else _power_table(0, s, 0, n)   # x^0 for a constant
         for i, e in mono.exps:
-            factor = factors.get((i, e))
+            factor = tables.get((i, e))
             if factor is None:
-                if e not in tables:
-                    tables[e] = _power_table(e, s)
-                factor = factors[i, e] = [
-                    [(tuple((o * n + i, m) for o, m in pattern), count)
-                     for pattern, count in row] for row in tables[e]]
+                factor = tables[i, e] = _power_table(e, s, i, n)
+            if partial is None:   # the first factor needs no convolution
+                partial = factor
+                continue
             grown = [[] for _ in range(s + 1)]
             for d, row in enumerate(partial):
                 for exps, count in row:
@@ -130,10 +127,13 @@ def series_substitute(f, jets):
                         for exps2, count2 in factor[d2]:
                             target.append((exps + exps2, count * count2))
             partial = grown
+        scaled = {1: coef}   # int count -> coef * count
         for terms, row in zip(out, partial):
             for exps, count in row:
-                mono_jet = Monomial._trusted(tuple(sorted(exps)))
-                terms[mono_jet] = coef if count == 1 else coef * count
+                c = scaled.get(count)
+                if c is None:
+                    c = scaled[count] = coef * count
+                terms[Monomial._trusted(tuple(sorted(exps)))] = c
     return tuple(Poly._trusted(jets.ring, terms) for terms in out)
 
 

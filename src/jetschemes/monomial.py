@@ -13,9 +13,9 @@ covers of the hypergraph of generator supports: `minimal_transversals`
 runs Berge on bitmasks, sweeping the edges by their largest vertex and
 testing a grown cover only against the old covers through its new
 vertex.  `_minimal_masks` minimalizes generators and hyperedges; a
-monomial is written in unary (exponent e of variable i fills e bits of a
-field as wide as the largest exponent), so divisibility becomes mask
-inclusion.
+monomial is written in unary by rank (exponent e of variable i fills as
+many bits as e's rank among the distinct exponents of the generators, in
+a field as wide as their number), so divisibility becomes mask inclusion.
 """
 
 from __future__ import annotations
@@ -40,8 +40,12 @@ class MonomialIdeal:
         generators = tuple(generators)
         if any(m.exps and m.exps[-1][0] >= len(ring.variables) for m in generators):
             raise ValueError("monomial uses a variable outside the ring")
-        w = max((e for m in generators for _, e in m.exps), default=1)
-        masks = [sum(((1 << e) - 1) << (i * w) for i, e in m.exps) for m in generators]
+        # exponent e is written in unary by its rank among the distinct
+        # exponents, a strictly increasing map that fixes 0 and keeps divisibility
+        distinct = sorted({e for m in generators for _, e in m.exps})
+        rank = {e: r for r, e in enumerate(distinct, 1)}
+        w = len(rank)
+        masks = [sum(((1 << rank[e]) - 1) << (i * w) for i, e in m.exps) for m in generators]
         kept = set(_minimal_masks(masks))
         self.generators = tuple(dict.fromkeys(
             m for m, mask in zip(generators, masks) if mask in kept))

@@ -7,12 +7,15 @@ full subset scan, determinants from Poly products over the permutation
 sum and by cofactor expansion, chordality from
 induced-cycle enumeration, and colorings from exhaustive assignment.
 The regex readers of graph bodies and of script statements, which the
-token cursor replaced, are kept as references for it.
+token cursor replaced, are kept as references for it, and so is the
+earlier table layer of the series expansion (one table per exponent,
+relabelled per variable).
 """
 
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 from jetschemes import (Graph, HyperGraph, Ideal, Monomial, MonomialIdeal, ParseError,
                         Poly, PolyRing, Variable, edge_ideal, generic_matrix,
@@ -145,6 +148,58 @@ def series_by_full_expansion(f, jr):
     for e, c in total.items():
         by_degree.setdefault(e[-1], {})[e[:-1]] = c
     return by_degree
+
+
+def _power_table_by_exponent(e, s):
+    """(y_0 + y_1 t + ... + y_s t^s)^e modulo t^(s+1), on orders: entry d
+    lists (((order, mult), ...), count), built breadth first by copying
+    every partial pattern through the orders s..1; order 0 takes the rest."""
+    partial = [((), e, 0, 1)]   # (pattern, multiplicity left, t-degree, count)
+    for o in range(s, 0, -1):
+        grown = []
+        for pattern, left, d, count in partial:
+            grown.append((pattern, left, d, count))
+            for m in range(1, min(left, (s - d) // o) + 1):
+                grown.append((((o, m),) + pattern, left - m, d + m * o,
+                              count * comb(left, m)))
+        partial = grown
+    table = [[] for _ in range(s + 1)]
+    for pattern, left, d, count in partial:
+        table[d].append((((0, left),) + pattern if left else pattern, count))
+    return table
+
+
+def series_by_relabelled_tables(f, jr):
+    """Taylor coefficients of f by the earlier table layer: one power table
+    per exponent on orders, relabelled into a copy per (variable, exponent)
+    (order o of variable k to jet index o*n + k), convolved per term of f,
+    and each output term scaled by its own Fraction multiply."""
+    s = jr.order
+    n = len(jr.base.variables)
+    tables = {}
+    factors = {}
+    out = [{} for _ in range(s + 1)]
+    for mono, coef in f._terms.items():
+        partial = [[((), 1)]] + [[] for _ in range(s)]
+        for i, e in mono.exps:
+            factor = factors.get((i, e))
+            if factor is None:
+                if e not in tables:
+                    tables[e] = _power_table_by_exponent(e, s)
+                factor = factors[i, e] = [
+                    [(tuple((o * n + i, m) for o, m in pattern), count)
+                     for pattern, count in row] for row in tables[e]]
+            grown = [[] for _ in range(s + 1)]
+            for d, row in enumerate(partial):
+                for exps, count in row:
+                    for d2 in range(s + 1 - d):
+                        for exps2, count2 in factor[d2]:
+                            grown[d + d2].append((exps + exps2, count * count2))
+            partial = grown
+        for terms, row in zip(out, partial):
+            for exps, count in row:
+                terms[Monomial._trusted(tuple(sorted(exps)))] = coef if count == 1 else coef * count
+    return tuple(Poly._trusted(jr.ring, terms) for terms in out)
 
 
 # --- graph text --------------------------------------------------------------

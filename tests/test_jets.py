@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
 from jetschemes import (Ideal, Monomial, Poly, PolyRing, RingMap, Variable, compose,
-                        is_homogeneous, jet_ring, jets_ideal, jets_quotient, jets_ring_map,
-                        parse_poly, parse_variables, series_substitute)
+                        generic_matrix, is_homogeneous, jet_ring, jets_ideal, jets_quotient,
+                        jets_ring_map, minors, parse_poly, parse_variables, series_substitute)
+from jetschemes.jets import _power_table
 
 from expected import XYZ_JET2_GENERATORS
-from oracles import dense_from_poly, random_poly, series_by_full_expansion
+from oracles import (dense_from_poly, random_poly, series_by_full_expansion,
+                     series_by_relabelled_tables)
 
 
 def test_jet_ring_order2(xyz_ring):
@@ -123,6 +127,80 @@ def test_series_matches_full_expansion(xyz_ring):
         for j in range(s + 1):
             assert dense_from_poly(coeffs[j]) == full.get(j, {})
             _assert_normal_form(coeffs[j])
+
+
+@pytest.mark.parametrize("i,n", [(0, 1), (1, 2), (2, 3), (4, 7)])
+def test_power_table_closed_form(i, n):
+    for e in range(1, 7):
+        for s in range(13):
+            table = _power_table(e, s, i, n)
+            assert len(table) == s + 1
+            for d, row in enumerate(table):
+                patterns = [pattern for pattern, _ in row]
+                assert len(set(patterns)) == len(patterns)
+                for pattern, count in row:
+                    indices = [k for k, _ in pattern]
+                    mults = [m for _, m in pattern]
+                    assert all(k % n == i for k in indices)
+                    assert all(a < b for a, b in zip(indices, indices[1:]))
+                    assert all(m > 0 for m in mults) and sum(mults) == e
+                    assert sum(k // n * m for k, m in pattern) == d
+                    assert count == factorial(e) // prod(factorial(m) for m in mults)
+                # every ordered e-tuple of orders with sum d, once
+                assert sum(count for _, count in row) == comb(d + e - 1, e - 1)
+
+
+# the series benchmark's plane-curve exponents (p, q)
+_CURVES = ((2, 3), (3, 2), (2, 5), (3, 4), (3, 5), (4, 5), (5, 2))
+
+
+def _rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _regime_cases(rng):
+    """(f, s, cheap) on the regimes of the series benchmark: plane curves
+    c1*x^p + c2*y^q (+ c3*x*y) at orders up to 30, dense polynomials of
+    degree <= 3 over 3 and 4 variables at orders <= 5, and the minors of
+    generic 3x3 and 4x4 matrices at orders <= 4; `cheap` marks the cases
+    the full expansion can check quickly."""
+    xy = PolyRing(parse_variables("x,y"))
+    for s in (4, 8, 12, 15, 20, 30):
+        for p, q in _CURVES:
+            for mixed in (False, True):
+                terms = {Monomial({0: p}): _rational(rng), Monomial({1: q}): _rational(rng)}
+                if mixed:
+                    terms[Monomial({0: 1, 1: 1})] = _rational(rng)
+                yield Poly(xy, terms), s, max(p, q) <= 3 and s <= 20
+    for names in ("x,y,z", "w,x,y,z"):
+        ring = PolyRing(parse_variables(names))
+        dense = Poly(ring, {Monomial(dict(enumerate(exps))): _rational(rng)
+                            for exps in product(range(4), repeat=len(ring.variables))
+                            if sum(exps) <= 3})
+        for s in range(6):
+            yield dense, s, s <= 2
+    for m in (3, 4):
+        M = generic_matrix(PolyRing(parse_variables(f"x_(1,1)..x_({m},{m})")), m, m)
+        for r in range(2, m + 1):
+            for g in minors(r, M).generators:
+                for s in range(5):
+                    yield g, s, False
+
+
+def test_series_matches_relabelled_tables_on_benchmark_regimes():
+    rng = random.Random(20218)
+    for f, s, cheap in _regime_cases(rng):
+        J = jet_ring(f.ring, s)
+        coeffs = series_substitute(f, J)
+        want = series_by_relabelled_tables(f, J)
+        assert len(coeffs) == s + 1
+        for c, w in zip(coeffs, want):
+            assert c._terms == w._terms
+            _assert_normal_form(c)
+        if cheap:
+            full = series_by_full_expansion(f, J)
+            for j in range(s + 1):
+                assert dense_from_poly(coeffs[j]) == full.get(j, {})
 
 
 def test_series_matches_sympy_expand():

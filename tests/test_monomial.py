@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -66,6 +69,47 @@ def test_minimalize_random_is_minimal_generating_set():
         assert list(MonomialIdeal(ring, mons).generators) == want
         assert minimalize(ring, mons) == \
             sorted(want, key=lambda m: term_key(ring, m), reverse=True)
+
+
+def test_minimalize_with_exponents_near_the_degree_bound():
+    # written in unary by rank, each exponent takes a bit per distinct
+    # exponent below it, however large it is
+    rng = random.Random(20304)
+    ring = PolyRing(parse_variables("a,b,c"))
+    values = [1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 2, 2**32 - 1]
+    for _ in range(80):
+        mons = []
+        for _ in range(rng.randint(0, 10)):
+            exps = {i: rng.choice(values) for i in rng.sample(range(3), rng.randint(0, 3))}
+            if sum(exps.values()) < 2**32:
+                mons.append(Monomial(exps))
+        mons += rng.sample(mons, len(mons) // 3)
+        rng.shuffle(mons)
+        want = []
+        for m in mons:
+            if m not in want and not any(g != m and monomial_divides(g, m) for g in mons):
+                want.append(m)
+        assert list(MonomialIdeal(ring, mons).generators) == want
+        assert minimalize(ring, mons) == \
+            sorted(want, key=lambda m: term_key(ring, m), reverse=True)
+
+
+def test_minimal_primes_of_a_huge_power_fail_fast_in_little_memory():
+    # written in unary by value, x^4294967295 would take a 2^32-bit mask
+    # (512 MB), beyond this cap on the child's address space
+    resource = pytest.importorskip("resource")
+    cap = 400 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "jetschemes"], env=env, preexec_fn=limit,
+                          input=b"ring R = [x,y]; ideal I = x^4294967295; minimalprimes I;",
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: minimal primes require a squarefree monomial ideal\n"
 
 
 def test_jets_radical_xyz_order2(xyz_ideal):
