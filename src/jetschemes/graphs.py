@@ -9,14 +9,18 @@ a + b <= s.  Jets of graphs and hypergraphs are built from that closed
 form on vertex indices, without going through an ideal.  The minimal
 vertex covers of a graph are the complements of its maximal independent
 sets, listed by Bron-Kerbosch on neighbor masks; those of a hypergraph
-come from Berge's transversal sweep in `monomial`.
+come from Berge's transversal sweep in `monomial`.  Either way the covers
+stay vertex masks until `monomial._by_size` sorts them and decodes each
+one into its tuple of vertices.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .poly import Monomial, PolyRing, Variable, _Cursor, _split_name, _variables
 from .jets import _jet_variables
-from .monomial import (MonomialIdeal, _by_size, _jet_supports, _members, _minimal_masks,
+from .monomial import (MonomialIdeal, _by_size, _jet_supports, _minimal_masks, _rows,
                        _transversals)
 
 _CHROMATIC_BOUND = 32   # the most vertices `chromatic_number` will search
@@ -102,13 +106,15 @@ class HyperGraph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         resolve = _resolver(self.vertices)
+        n = len(self.vertices)
         masks = []
         for edge in edges:
             mask = sum({1 << resolve(v) for v in edge})
             if not mask:
                 raise ValueError("empty hyperedge")
             masks.append(mask)
-        self.edges = tuple(sorted(tuple(_members(m)) for m in _minimal_masks(masks)))
+        self.edges = tuple(sorted(tuple(compress(range(n), row))
+                                  for row in _rows(_minimal_masks(masks), n)))
 
     def __eq__(self, other):
         return (isinstance(other, HyperGraph) and self.vertices == other.vertices
@@ -255,27 +261,29 @@ def _colorable(adj, order, classes, pos):
 
 
 def minimal_vertex_covers(G):
-    """All inclusion-minimal vertex covers, by size then vertex indices.
+    """All inclusion-minimal vertex covers, as tuples of vertices, by size
+    then vertex indices.
 
     They agree with the minimal primes of the edge ideal.  A Graph's
     covers are the complements of its maximal independent sets, listed by
     Bron-Kerbosch with the Tomita pivot (Tomita, Tanaka & Takahashi, Theor.
     Comput. Sci. 2006); a HyperGraph's come from Berge's sweep in
-    `monomial`.
+    `monomial`.  Both find them as vertex masks, and `monomial._by_size`
+    sorts the masks and decodes each one once.
     """
-    vertices = G.vertices
-    covers = _graph_covers(G.adj) if isinstance(G, Graph) else _transversals(G.edges)
-    return [tuple(vertices[i] for i in c) for c in covers]
+    if isinstance(G, Graph):
+        return _graph_covers(G.adj, G.vertices)
+    return _transversals(G.edges, G.vertices)
 
 
-def _graph_covers(adj):
-    """The minimal vertex covers of the graph with neighbor masks `adj`, in
-    (size, members) order: the complements, within the vertices on an edge,
-    of the maximal independent sets.  Bron-Kerbosch lists those on
-    (chosen, candidates, excluded) masks.  The pivot, of the candidates and
-    excluded, has the most candidates among its non-neighbors, and only it
-    and its neighbors branch.  An explicit stack stands in for recursion as
-    deep as the n(s+1) vertices of a jets graph.
+def _graph_covers(adj, vertices):
+    """The minimal vertex covers of the graph with neighbor masks `adj`, as
+    tuples of `vertices`, in (size, members) order: the complements, within
+    the vertices on an edge, of the maximal independent sets.  Bron-Kerbosch
+    lists those on (chosen, candidates, excluded) masks.  The pivot, of the
+    candidates and excluded, has the most candidates among its
+    non-neighbors, and only it and its neighbors branch.  An explicit stack
+    stands in for recursion as deep as the n(s+1) vertices of a jets graph.
     """
     live = sum(1 << v for v, a in enumerate(adj) if a)
     # the vertices on an edge, other than v, that are not adjacent to v
@@ -304,7 +312,7 @@ def _graph_covers(adj):
             stack.append((chosen | b, cand & apart[v], excl & apart[v]))
             cand ^= b
             excl |= b
-    return _by_size(covers)
+    return _by_size(covers, vertices)
 
 
 def parse_graph_text(text):

@@ -16,11 +16,19 @@ vertex.  `_minimal_masks` minimalizes generators and hyperedges; a
 monomial is written in unary by rank (exponent e of variable i fills as
 many bits as e's rank among the distinct exponents of the generators, in
 a field as wide as their number), so divisibility becomes mask inclusion.
+The supports of `jets_radical` are squarefree, so their masks are just
+their jet indices.
+
+Combinatorial results stay int masks until they are output.  `_by_size`
+sorts them in (size, members) order on the masks themselves and decodes
+each one once, through its fixed-width binary string read lowest bit
+first and `itertools.compress`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 from .poly import Ideal, Monomial, Poly, monomial_str, term_key
 from .jets import jet_ring
@@ -50,6 +58,17 @@ class MonomialIdeal:
         self.generators = tuple(dict.fromkeys(
             m for m, mask in zip(generators, masks) if mask in kept))
         self.squarefree = all(m.is_squarefree() for m in self.generators)
+
+    @classmethod
+    def _trusted(cls, ring, generators):
+        """An ideal on `generators`, a tuple of distinct squarefree monomials
+        of `ring` none of which divides another; it is adopted as it is, not
+        checked."""
+        I = object.__new__(cls)
+        I.ring = ring
+        I.generators = generators
+        I.squarefree = True
+        return I
 
     def to_ideal(self):
         return Ideal(self.ring, [Poly(self.ring, {m: Fraction(1)})
@@ -84,14 +103,14 @@ def _minimal_masks(masks):
     return kept
 
 
-def _members(mask):
-    """The set bit positions of an int bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _rows(masks, width):
+    """The `width` lowest bits of each int bitmask as bytes 0 and 1, lowest
+    first: `compress(items, row)` yields the members of its mask."""
+    fmt = f"0{width}b"
+    return [format(m, fmt)[::-1].encode().translate(_BITS) for m in masks]
 
 
 def minimalize(ring, gens):
@@ -118,7 +137,11 @@ def _jet_supports(exps, s, n):
 
 def jets_radical(s, I):
     """Radical of the ideal of s-jets of a monomial ideal, by the closed
-    form of the module docstring, in canonical term order, largest first."""
+    form of the module docstring, in canonical term order, largest first.
+
+    Each support is keyed by its mask of jet indices; it is squarefree, so
+    one divides another iff its mask is inside the other's.  The masks are
+    minimalized once, and only the kept ones become Monomials."""
     if isinstance(I, MonomialIdeal):
         monomials = I.generators
     elif is_monomial_ideal(I):
@@ -127,10 +150,12 @@ def jets_radical(s, I):
         raise ValueError("jets_radical needs a monomial ideal")
     ring = jet_ring(I.ring, s).ring
     n = len(I.ring.variables)
-    supports = {Monomial._trusted(tuple((k, 1) for k in idx)) for m in monomials
+    supports = {sum([1 << k for k in idx]): idx for m in monomials
                 for idx in _jet_supports(m.exps, s, n)}
-    return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
-                                      reverse=True))
+    kept = [Monomial._trusted(tuple([(k, 1) for k in supports[mask]]))
+            for mask in _minimal_masks(supports)]
+    kept.sort(key=lambda m: term_key(ring, m), reverse=True)
+    return MonomialIdeal._trusted(ring, tuple(kept))
 
 
 def minimal_transversals(edges):
@@ -148,19 +173,23 @@ def minimal_transversals(edges):
     edges; the families stay smaller than in the order given.  Returns
     frozensets in (size, sorted members) order.
     """
-    return [frozenset(c) for c in _transversals(edges)]
+    edges = [tuple(e) for e in edges]
+    width = 1 + max((v for e in edges for v in e), default=-1)
+    return [frozenset(c) for c in _transversals(edges, range(width))]
 
 
-def _transversals(edges):
-    """The minimal transversals of `minimal_transversals`, each as the
-    ascending list of its members, in (size, members) order."""
+def _transversals(edges, items):
+    """The minimal transversals of `minimal_transversals`, on edges of
+    indices into `items`, each as the tuple of its items, in (size,
+    members) order.  Each edge keeps the set of its vertex bits, so the
+    sweep reads them without decoding its mask."""
+    bits = {sum(vs): vs for vs in ({1 << v for v in e} for e in edges)}
     covers = [0]
-    for edge in sorted({sum({1 << v for v in e}) for e in edges}):
+    for edge in sorted(bits):
         hitting = [c for c in covers if c & edge]
         missing = [c for c in covers if not c & edge]
         grown = []
-        for v in _members(edge):
-            b = 1 << v
+        for b in bits[edge]:
             rest = [h ^ b for h in hitting if h & b]
             for c in missing:
                 for r in rest:
@@ -169,14 +198,21 @@ def _transversals(edges):
                 else:
                     grown.append(c | b)
         covers = hitting + grown
-    return _by_size(covers)
+    return _by_size(covers, items)
 
 
-def _by_size(masks):
-    """The members of each mask, in (size, members) order."""
-    out = sorted(map(_members, masks))
-    out.sort(key=len)   # stable: members order within each size
-    return out
+def _by_size(masks, items):
+    """The members of each mask, as a tuple of `items` (bit i stands for
+    items[i]), in (size, members) order.
+
+    The masks themselves are sorted, on their popcount, ascending, and then
+    on their row, the fixed-width binary string read lowest bit first
+    (`_rows`), descending: of two masks of one size, the one holding the
+    lowest bit where they differ has the smaller members and the larger
+    row.  Each row is then decoded once, by `compress` over `items`."""
+    rows = sorted(zip([-m.bit_count() for m in masks], _rows(masks, len(items))),
+                  reverse=True)
+    return [tuple(compress(items, row)) for _, row in rows]
 
 
 def minimal_primes_squarefree(I):
@@ -188,6 +224,4 @@ def minimal_primes_squarefree(I):
     """
     if not I.squarefree:
         raise ValueError("minimal primes require a squarefree monomial ideal")
-    variables = I.ring.variables
-    return [tuple(variables[i] for i in c)
-            for c in _transversals(m.support() for m in I.generators)]
+    return _transversals((m.support() for m in I.generators), I.ring.variables)

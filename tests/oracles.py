@@ -9,7 +9,9 @@ induced-cycle enumeration, and colorings from exhaustive assignment.
 The regex readers of graph bodies and of script statements, which the
 token cursor replaced, are kept as references for it, and so is the
 earlier table layer of the series expansion (one table per exponent,
-relabelled per variable).
+relabelled per variable).  So are the earlier output paths of the mask
+kernels: covers decoded bit by bit and sorted as member lists, and the
+jets radical minimalized by the validating `MonomialIdeal` constructor.
 """
 
 import re
@@ -19,10 +21,11 @@ from math import comb
 
 from jetschemes import (Graph, HyperGraph, Ideal, Monomial, MonomialIdeal, ParseError,
                         Poly, PolyRing, Variable, edge_ideal, generic_matrix,
-                        graph_from_edge_ideal, jets_ideal, parse_graph_text, parse_polys,
-                        parse_variables, term_key)
+                        graph_from_edge_ideal, jet_ring, jets_ideal, parse_graph_text,
+                        parse_polys, parse_variables, term_key)
 from jetschemes.cli import (_COMMANDS, _NAT_COMMANDS, Session, _run_command, _text_lines,
                             emit_json, to_record)
+from jetschemes.monomial import _jet_supports
 
 
 # --- dense-exponent polynomial arithmetic -----------------------------------
@@ -377,6 +380,38 @@ def brute_minimal_covers(nvars, edges):
             if all(s & e for e in edge_sets) and not any(k <= s for k in kept):
                 kept.append(s)
     return sorted(kept, key=lambda c: (len(c), sorted(c)))
+
+
+def by_size_by_members(masks, items):
+    """The members of each mask as a tuple of `items`, in (size, members)
+    order: the set bits of each mask found one at a time, lowest first,
+    the member lists sorted, then stably sorted by length."""
+    def members(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    out = sorted(map(members, masks))
+    out.sort(key=len)
+    return [tuple(items[i] for i in c) for c in out]
+
+
+def jets_radical_by_constructor(s, I):
+    """Radical of the s-jets of a monomial ideal from the same closed-form
+    supports as `jets_radical`, sorted in descending term order and
+    minimalized by the validating `MonomialIdeal` constructor."""
+    if isinstance(I, MonomialIdeal):
+        monomials = I.generators
+    else:
+        monomials = [m for f in I.generators for m in f._terms]
+    ring = jet_ring(I.ring, s).ring
+    n = len(I.ring.variables)
+    supports = {Monomial._trusted(tuple((k, 1) for k in idx)) for m in monomials
+                for idx in _jet_supports(m.exps, s, n)}
+    return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
+                                      reverse=True))
 
 
 def goward_smith_jets_edges(G, s):

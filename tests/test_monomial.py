@@ -13,9 +13,10 @@ from jetschemes import (HyperGraph, Ideal, Monomial, MonomialIdeal, PolyRing, Va
                         run_script, term_key)
 
 from expected import XYZ_JET2_MINIMAL_PRIMES, XYZ_JET2_RADICAL
-from oracles import (brute_minimal_covers, intersect_variable_primes,
-                     jets_radical_by_terms, monomial_divides, random_monomial_ideal,
-                     random_squarefree_ideal)
+from jetschemes.monomial import _by_size
+from oracles import (brute_minimal_covers, by_size_by_members, intersect_variable_primes,
+                     jets_radical_by_constructor, jets_radical_by_terms, monomial_divides,
+                     random_monomial_ideal, random_squarefree_ideal)
 
 
 def test_is_monomial_ideal(xyz_ring, xyz_ideal):
@@ -197,6 +198,50 @@ def test_jets_radical_vanishes_exactly_on_arcs_of_high_order():
             assert on_radical == on_jets, (str(I), s, orders)
 
 
+def _assert_radical_by_constructor(s, I):
+    for J in (I, _as_monomial_ideal(I)):
+        rad = jets_radical(s, J)
+        assert rad == jets_radical_by_constructor(s, J), (str(I), s)
+        assert rad.squarefree
+        assert MonomialIdeal(rad.ring, rad.generators) == rad
+
+
+def test_jets_radical_matches_the_constructor_path():
+    # jets_radical minimalizes the support masks and skips the constructor
+    rng = random.Random(60604)
+    rings = [PolyRing(parse_variables(names)) for names in ("x", "x,y", "x,y,z", "x,y,z,w")]
+    for _ in range(150):
+        ring = rng.choice(rings)
+        _assert_radical_by_constructor(rng.randint(0, 10),
+                                       random_monomial_ideal(rng, ring, max_exp=3))
+
+
+@pytest.mark.parametrize("s", range(11))
+@pytest.mark.parametrize("gens", [["x^2", "x*y"], ["x^3", "x^2*y", "x*y^3"], ["1"], []],
+                         ids=["nested", "staircase", "unit", "zero"])
+def test_jets_radical_special_ideals_match_the_constructor_path(s, gens):
+    R = PolyRing(parse_variables("x,y"))
+    _assert_radical_by_constructor(s, Ideal(R, [parse_poly(g, R) for g in gens]))
+
+
+def test_by_size_matches_members_oracle():
+    rng = random.Random(60605)
+    for width in (0, 1, 2, 3, 7, 31, 63, 64, 65, 66, 100, 130):
+        items = tuple(f"v{i}" for i in range(width))
+        top = 1 << (width - 1) if width else 0
+        for _ in range(20):
+            masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 30))]
+            masks += [sum(1 << i for i in rng.sample(range(width), rng.randint(0, min(width, 4))))
+                      for _ in range(rng.randint(0, 10))]
+            masks += [top | rng.getrandbits(width) for _ in range(rng.randint(0, 5))]
+            masks += [0, top] if rng.random() < 0.5 else []
+            rng.shuffle(masks)
+            assert _by_size(masks, items) == by_size_by_members(masks, items), (width, masks)
+            assert _by_size(masks, range(width)) == by_size_by_members(masks, range(width))
+    assert _by_size([], ()) == []
+    assert _by_size([0], ()) == [()]
+
+
 def test_combinatorial_layer_expands_no_series(monkeypatch, xyz_ideal, demo_graph):
     def refuse(*args):
         raise AssertionError("series expanded")
@@ -297,7 +342,7 @@ def test_minimal_transversals_match_brute_force():
 
 
 def test_minimal_primes_match_the_frozenset_path():
-    # minimal_primes_squarefree reads the kernel's member lists directly
+    # minimal_primes_squarefree decodes the kernel's masks straight into variables
     rng = random.Random(70702)
     for _ in range(300):
         n, edges = _random_family(rng)
