@@ -19,13 +19,9 @@ record of each result (`to_record`).  Ideal statements parse their
 polynomials in the most recently defined ring.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .poly import Ideal, ParseError, PolyRing, _Cursor, _polys, _variables, monomial_str
 from .jets import jets_ideal
@@ -42,12 +38,17 @@ _BINDABLE = {"ring": (), "ideal": ("jets", "jetsradical", "minors"),
 _IDEALS = (Ideal, MonomialIdeal)
 
 
-@dataclass
 class _Groups:
     """Minimal primes or minimal vertex covers, as groups of variables."""
 
-    kind: str  # "primes" or "covers"
-    items: list
+    def __init__(self, kind, items):
+        self.kind = kind   # "primes" or "covers"
+        self.items = items
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.items) == (other.kind, other.items)
 
 
 class Session:
@@ -246,6 +247,7 @@ def _line_col(text, pos):
 
 
 def main(argv=None):
+    import argparse   # here, so that run_script and the library never load it
     parser = argparse.ArgumentParser(
         prog="jetschemes",
         description="Run a jet-computation script and print its transcript.")

@@ -14,8 +14,6 @@ stay vertex masks until `monomial._by_size` sorts them and decodes each
 one into its tuple of vertices.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 
 from .poly import Monomial, PolyRing, Variable, _Cursor, _split_name, _variables

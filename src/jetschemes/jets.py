@@ -20,15 +20,11 @@ coefficient once per distinct count; no two jet monomials it yields are
 equal, so the t^0..t^s coefficients are those of the full expansion.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from math import comb
 
 from .poly import Ideal, Monomial, Poly, PolyRing, Variable
 
 
-@dataclass(eq=True)
 class JetRing:
     """The order-s jet ring of a base ring of n variables.
 
@@ -36,12 +32,24 @@ class JetRing:
     order-j jet of base variable k is `ring.variables[j*n + k]`.
     """
 
-    base: PolyRing
-    order: int
-    ring: PolyRing
+    __hash__ = None   # equal field by field, and mutable
+
+    def __init__(self, base, order, ring):
+        self.base = base
+        self.order = order
+        self.ring = ring
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.order, self.ring)
+                == (other.base, other.order, other.ring))
 
     def __str__(self):
         return str(self.ring)
+
+    def __repr__(self):
+        return f"JetRing({self.base}, {self.order})"
 
 
 def _jet_variables(variables, s):
@@ -154,16 +162,15 @@ def jets_quotient(s, R, I):
     return jet_ring(R, s), jets_ideal(s, I)
 
 
-@dataclass(eq=True)
 class RingMap:
     """A ring homomorphism determined by the image of each source variable."""
 
-    source: PolyRing
-    target: PolyRing
-    images: tuple
+    __hash__ = None   # equal field by field, and mutable
 
-    def __post_init__(self):
-        self.images = tuple(self.images)
+    def __init__(self, source, target, images):
+        self.source = source
+        self.target = target
+        self.images = tuple(images)
         if len(self.images) != len(self.source.variables):
             raise ValueError("need one image per source variable")
         for g in self.images:
@@ -180,6 +187,16 @@ class RingMap:
                 term = term * self.images[i] ** e
             out = out + term
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.images)
+                == (other.source, other.target, other.images))
+
+    def __repr__(self):
+        images = ",".join(map(str, self.images))
+        return f"RingMap({self.source} -> {self.target}: {images})"
 
 
 def compose(outer, inner):

@@ -1,22 +1,27 @@
 """Generic matrices over a polynomial ring and ideals of minors."""
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Ideal, Monomial, Poly, PolyRing
+from .poly import Ideal, Monomial, Poly
 
 
-@dataclass(eq=True)
 class GenericMatrix:
     """An m x n matrix of distinct ring variables, filled column by column."""
 
-    ring: PolyRing
-    rows: int
-    cols: int
-    entries: tuple
+    __hash__ = None   # equal field by field, and mutable
+
+    def __init__(self, ring, rows, cols, entries):
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.rows, self.cols, self.entries)
+                == (other.ring, other.rows, other.cols, other.entries))
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -30,6 +35,10 @@ class GenericMatrix:
             cells = " ".join(cell.ljust(w) for cell, w in zip(row, widths))
             lines.append(f"| {cells} |")
         return "\n".join(lines)
+
+    def __repr__(self):
+        rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in self.entries)
+        return f"GenericMatrix({self.ring}: {rows})"
 
 
 def generic_matrix(R, m, n):

@@ -17,7 +17,8 @@ monomial is written in unary by rank (exponent e of variable i fills as
 many bits as e's rank among the distinct exponents of the generators, in
 a field as wide as their number), so divisibility becomes mask inclusion.
 The supports of `jets_radical` are squarefree, so their masks are just
-their jet indices.
+their jet indices.  Masks of one popcount never nest, so `_minimal_masks`
+compares each mask only with the kept masks of smaller popcount.
 
 Combinatorial results stay int masks until they are output.  `_by_size`
 sorts them in (size, members) order on the masks themselves and decodes
@@ -25,10 +26,8 @@ each one once, through its fixed-width binary string read lowest bit
 first and `itertools.compress`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, groupby
 
 from .poly import Ideal, Monomial, Poly, monomial_str, term_key
 from .jets import jet_ring
@@ -90,16 +89,20 @@ class MonomialIdeal:
 
 
 def _minimal_masks(masks):
-    """The inclusion-minimal ones among some int bitmasks, duplicates dropped:
-    visiting them by popcount puts every proper subset of a mask before it,
-    so a mask is kept iff no kept mask is a subset of it."""
+    """The inclusion-minimal ones among some int bitmasks, duplicates dropped,
+    by popcount.  A proper subset of a mask has a smaller popcount, and two
+    distinct masks of one popcount never nest, so a mask is kept iff no kept
+    mask of a smaller popcount is a subset of it: each is compared only with
+    those."""
     kept = []
-    for m in sorted(set(masks), key=int.bit_count):
-        for k in kept:
-            if k & m == k:
-                break
-        else:
-            kept.append(m)
+    for _, group in groupby(sorted(set(masks), key=int.bit_count), int.bit_count):
+        smaller = kept[:]
+        for m in group:
+            for k in smaller:
+                if k & m == k:
+                    break
+            else:
+                kept.append(m)
     return kept
 
 

@@ -13,11 +13,8 @@ Coefficients are `fractions.Fraction`, so all arithmetic is exact and
 every coefficient is stored with positive denominator in lowest terms.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 _IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names and binding names
@@ -34,49 +31,76 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Variable:
     """A ring variable: base name, optional subscripts, optional jet order.
 
     The printed name appends the jet order to the base ("x" at order 2 is
     "x2") and then the subscripts ("x0_(1,1)").  Base names may not end in
     a digit, otherwise "x12" could be either x at order 12 or x1 at order 2.
-    The name is set once, at construction, and takes no part in equality,
-    hashing or repr; the parser scans a name so written as one token.
+    The name is set once, at construction, and takes no part in equality
+    or hashing; the parser scans a name so written as one token.  A
+    variable is immutable: assigning or deleting an attribute raises
+    `AttributeError`.
     """
 
-    base: str
-    subscripts: tuple[int, ...] = ()
-    jet_order: int | None = None
-    name: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("base", "subscripts", "jet_order", "name")
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.base):
-            raise ValueError(f"invalid variable base name {self.base!r}")
-        if self.base[-1].isdigit():
-            raise ValueError(f"variable base {self.base!r} ends in a digit")
-        subs = tuple(map(int, self.subscripts))
-        object.__setattr__(self, "subscripts", subs)
+    def __init__(self, base, subscripts=(), jet_order=None):
+        if not _IDENT_RE.fullmatch(base):
+            raise ValueError(f"invalid variable base name {base!r}")
+        if base[-1].isdigit():
+            raise ValueError(f"variable base {base!r} ends in a digit")
+        subs = tuple(map(int, subscripts))
         if subs and min(subs) < 0:
             raise ValueError("subscripts must be naturals")
-        if self.jet_order is not None and self.jet_order < 0:
+        if jet_order is not None and jet_order < 0:
             raise ValueError("jet order must be a natural")
-        order = "" if self.jet_order is None else str(self.jet_order)
-        object.__setattr__(self, "name", _subscripted(self.base + order, subs))
+        order = "" if jet_order is None else str(jet_order)
+        _set_base(self, base)
+        _set_subscripts(self, subs)
+        _set_jet_order(self, jet_order)
+        _set_name(self, _subscripted(base + order, subs))
 
     @classmethod
     def _trusted(cls, base, subscripts, jet_order, name):
         """A variable on fields that pass the checks above, with its printed
         name: `subscripts` is a tuple of naturals, and nothing is checked."""
         v = object.__new__(cls)
-        v.__dict__.update(base=base, subscripts=subscripts, jet_order=jet_order, name=name)
+        _set_base(v, base)
+        _set_subscripts(v, subscripts)
+        _set_jet_order(v, jet_order)
+        _set_name(v, name)
         return v
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        # rebuilt through __init__, since unpickling slots would assign them
+        return Variable, (self.base, self.subscripts, self.jet_order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.subscripts, self.jet_order)
+                == (other.base, other.subscripts, other.jet_order))
+
+    def __hash__(self):
+        return hash((self.base, self.subscripts, self.jet_order))
 
     def __str__(self):
         return self.name
 
     def __repr__(self):
         return f"Variable({self.name!r})"
+
+
+# the slots' own setters, which Variable.__setattr__ does not reach
+_set_base, _set_subscripts, _set_jet_order, _set_name = (
+    getattr(Variable, field).__set__ for field in Variable.__slots__)
 
 
 def _subscripted(text, subscripts):

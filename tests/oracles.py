@@ -382,6 +382,19 @@ def brute_minimal_covers(nvars, edges):
     return sorted(kept, key=lambda c: (len(c), sorted(c)))
 
 
+def minimal_masks_all_pairs(masks):
+    """The inclusion-minimal ones among some int bitmasks, duplicates dropped,
+    in popcount order: each mask is compared with every mask kept before it."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def by_size_by_members(masks, items):
     """The members of each mask as a tuple of `items`, in (size, members)
     order: the set bits of each mask found one at a time, lowest first,

@@ -260,6 +260,44 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert err == b""
 
 
+# One statement of each kind; importing the package and running it in both
+# output modes must load none of these modules
+EVERY_KIND_SCRIPT = """ring R = [x,y,z]; ideal I = 1/2*x*y*z-y^2; jets 1 I; ideal K = x*y*z;
+ideal J = jetsradical 1 K; minimalprimes J; ring S = [x_(1,1)..x_(2,2)];
+matrix M = generic(S,2,2); minors 2 M; graph G = vertices a,b,c
+a-b,b-c; graph H = graphjets 1 G; covers H; chordal H; complement H; chromatic H;"""
+UNLOADED = ("dataclasses", "inspect", "ast", "argparse", "typing")
+
+
+def test_import_and_run_load_no_heavy_modules():
+    # compared with the modules loaded before the import, so that a site
+    # module which preloads one of them does not count against jetschemes
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import jetschemes\n"
+        "from jetschemes.cli import run_script\n"
+        f"run_script({EVERY_KIND_SCRIPT!r})\n"
+        f"run_script({EVERY_KIND_SCRIPT!r}, json_mode=True)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"jetschemes.cli", "jetschemes.graphs"} <= loaded
+    assert loaded.isdisjoint(UNLOADED), sorted(loaded.intersection(UNLOADED))
+
+
+def test_main_help_exits_0_with_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "usage: jetschemes [-h] [--script FILE] [--json]"
+
+
 def test_cli_and_library_agree(xyz_ideal):
     from jetschemes import jets_ideal
     lines = run_script(JETS_SCRIPT).splitlines()[3:]

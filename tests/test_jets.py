@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from jetschemes import (Ideal, Monomial, Poly, PolyRing, RingMap, Variable, compose,
+from jetschemes import (Ideal, JetRing, Monomial, Poly, PolyRing, RingMap, Variable, compose,
                         generic_matrix, is_homogeneous, jet_ring, jets_ideal, jets_quotient,
                         jets_ring_map, minors, parse_poly, parse_variables, series_substitute)
 from jetschemes.jets import _power_table
@@ -271,6 +271,37 @@ def test_jets_of_identity_map(xyz_ring):
     for s in (0, 1, 2):
         jphi = jets_ring_map(s, phi)
         assert jphi == RingMap(jphi.source, jphi.source, jphi.source.gens())
+
+
+def test_jet_ring_compares_field_by_field_and_is_unhashable(xyz_ring):
+    J = jet_ring(xyz_ring, 2)
+    assert J == jet_ring(PolyRing(parse_variables("x,y,z")), 2)
+    assert J == JetRing(J.base, J.order, J.ring)
+    assert J != JetRing(J.ring, J.order, J.ring)
+    assert J != JetRing(J.base, 3, J.ring)
+    assert J != JetRing(J.base, J.order, jet_ring(xyz_ring, 1).ring)
+    assert J != J.ring and not J == (J.base, J.order, J.ring)
+    with pytest.raises(TypeError):
+        hash(J)
+    assert repr(J) == "JetRing(QQ[x,y,z], 2)"
+
+
+def test_ring_map_compares_field_by_field_and_checks_its_images(xyz_ring):
+    gens = list(xyz_ring.gens())
+    phi = RingMap(xyz_ring, xyz_ring, gens)
+    assert type(phi.images) is tuple and phi.images == tuple(gens)
+    assert phi == RingMap(xyz_ring, xyz_ring, tuple(gens))
+    assert phi != RingMap(xyz_ring, xyz_ring, gens[::-1])
+    uvw = PolyRing(parse_variables("u,v,w"))
+    assert phi != RingMap(uvw, xyz_ring, gens)
+    assert phi != RingMap(xyz_ring, uvw, uvw.gens())
+    with pytest.raises(TypeError):
+        hash(phi)
+    assert repr(phi) == "RingMap(QQ[x,y,z] -> QQ[x,y,z]: x,y,z)"
+    with pytest.raises(ValueError, match="need one image per source variable"):
+        RingMap(xyz_ring, xyz_ring, gens[:2])
+    with pytest.raises(ValueError, match="image lives outside the target ring"):
+        RingMap(xyz_ring, uvw, gens)
 
 
 def test_jets_of_square_map():

@@ -16,6 +16,20 @@ def generic3():
     return generic_matrix(ring, 3, 3)
 
 
+def test_generic_matrix_compares_field_by_field_and_is_unhashable():
+    ring = PolyRing(parse_variables("a,b,c,d"))
+    M = generic_matrix(ring, 2, 2)
+    assert M == generic_matrix(PolyRing(parse_variables("a,b,c,d")), 2, 2)
+    assert M == GenericMatrix(ring, 2, 2, M.entries)
+    assert M != GenericMatrix(PolyRing(parse_variables("a,b,c,d,e")), 2, 2, M.entries)
+    assert M != GenericMatrix(ring, 1, 2, M.entries)
+    assert M != GenericMatrix(ring, 2, 1, M.entries)
+    assert M != GenericMatrix(ring, 2, 2, tuple(zip(*M.entries)))
+    with pytest.raises(TypeError):
+        hash(M)
+    assert repr(M) == "GenericMatrix(QQ[a,b,c,d]: [a,c],[b,d])"
+
+
 def test_generic_matrix_display(generic3):
     rows = [[str(e) for e in row] for row in generic3.entries]
     assert rows == GENERIC_3X3_ROWS

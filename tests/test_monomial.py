@@ -13,10 +13,12 @@ from jetschemes import (HyperGraph, Ideal, Monomial, MonomialIdeal, PolyRing, Va
                         run_script, term_key)
 
 from expected import XYZ_JET2_MINIMAL_PRIMES, XYZ_JET2_RADICAL
-from jetschemes.monomial import _by_size
+from jetschemes import monomial
+from jetschemes.monomial import _by_size, _minimal_masks
 from oracles import (brute_minimal_covers, by_size_by_members, intersect_variable_primes,
-                     jets_radical_by_constructor, jets_radical_by_terms, monomial_divides,
-                     random_monomial_ideal, random_squarefree_ideal)
+                     jets_radical_by_constructor, jets_radical_by_terms,
+                     minimal_masks_all_pairs, monomial_divides, random_monomial_ideal,
+                     random_squarefree_ideal)
 
 
 def test_is_monomial_ideal(xyz_ring, xyz_ideal):
@@ -140,6 +142,32 @@ def test_jets_radical_of_a_monomial_ideal_skips_to_ideal(monkeypatch):
         raise AssertionError("monomial ideal turned into polynomials")
     monkeypatch.setattr(MonomialIdeal, "to_ideal", refuse)
     assert jets_radical(2, _as_monomial_ideal(I)) == want
+
+
+def test_minimal_masks_match_the_all_pairs_loop():
+    rng = random.Random(20)
+    families = [[], [0], [0, 0, 5], [3, 3, 1, 1], [1 << 64, (1 << 64) | 1, 1 << 63],
+                [(1 << 65) - 1, 1 << 64, 1 << 65]]
+    for width in (1, 4, 8, 20, 63, 64, 65, 130):
+        for _ in range(60):
+            count = rng.randrange(40)
+            density = rng.random()
+            family = [sum(1 << b for b in range(width) if rng.random() < density)
+                      for _ in range(count)]
+            family += rng.sample(family, min(len(family), rng.randrange(4)))  # duplicates
+            families.append(family)
+    for family in families:
+        assert _minimal_masks(family) == minimal_masks_all_pairs(family), family
+
+
+def test_jets_radical_of_a_product_of_four_matches_the_all_pairs_loop(monkeypatch):
+    # order 14: C(18, 4) = 3060 supports, pairwise incomparable, so all are kept
+    R = PolyRing(parse_variables("x,y,z,w"))
+    I = Ideal(R, [parse_poly("x*y*z*w", R)])
+    rad = jets_radical(14, I)
+    assert len(rad.generators) == 3060
+    monkeypatch.setattr(monomial, "_minimal_masks", minimal_masks_all_pairs)
+    assert rad == jets_radical(14, I)
 
 
 def test_unit_and_zero_monomial_ideals_print_apart():

@@ -1,7 +1,10 @@
-import dataclasses
+import copy
+import inspect
 import itertools
+import pickle
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -481,20 +484,30 @@ def test_poly_str_matches_the_dense_printer():
 
 def test_variable_name_is_cached_without_changing_identity():
     v = Variable("x", (1, 2), 3)
-    assert vars(v)["name"] == "x3_(1,2)"   # set at construction, not on first read
+    # a plain slot, set at construction: no property computes it on read
+    assert "name" in Variable.__slots__ and not hasattr(v, "__dict__")
+    assert isinstance(Variable.__dict__["name"], types.MemberDescriptorType)
     assert v.name == "x3_(1,2)" and v.name is v.name
     w = Variable("x", (1, 2), 3)
     assert v == w and hash(v) == hash(w) and repr(v) == "Variable('x3_(1,2)')"
     assert v != Variable("x", (1, 2)) and Variable("x", (1, 2)).name == "x_(1,2)"
     assert Variable("x", ("1", "02")) == Variable("x", (1, 2))
     assert Variable("x", ("1", "02")).name == "x_(1,2)" and Variable("ab").name == "ab"
-    # the name is no field of ==, hash or the generated repr, and no argument
-    (name,) = [f for f in dataclasses.fields(Variable) if f.name == "name"]
-    assert not (name.init or name.compare or name.repr)
+    # the name is no field of == or hash, and no argument
+    assert list(inspect.signature(Variable).parameters) == ["base", "subscripts", "jet_order"]
     object.__setattr__(w, "name", "other")
     assert v == w and hash(v) == hash(w)
     with pytest.raises(TypeError):
         Variable("x", (), None, "x")
+    # immutable: no field can be assigned or deleted, so the hash stays
+    h = hash(v)
+    with pytest.raises(AttributeError):
+        v.base = "y"
+    with pytest.raises(AttributeError):
+        del v.name
+    assert v.base == "x" and v.name == "x3_(1,2)" and hash(v) == h
+    for u in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert u == v and u.name == v.name and hash(u) == h
 
 
 @pytest.mark.parametrize("args, message", [
