@@ -136,9 +136,9 @@ def graph_from_edge_ideal(I):
     if not I.squarefree:
         raise ValueError("edge ideal must be squarefree")
     for m in I.generators:
-        if m.degree() != 2:
-            raise ValueError(f"generator of degree {m.degree()}, expected 2")
-    return Graph(I.ring.variables, [m.support() for m in I.generators])
+        if len(m) != 2:   # squarefree: the degree is the number of variables
+            raise ValueError(f"generator of degree {len(m)}, expected 2")
+    return Graph(I.ring.variables, [(i, j) for (i, _), (j, _) in I.generators])
 
 
 def _jet_edges(s, G):

@@ -22,7 +22,7 @@ equal, so the t^0..t^s coefficients are those of the full expansion.
 
 from math import comb
 
-from .poly import Ideal, Monomial, Poly, PolyRing, Variable
+from .poly import Ideal, Poly, PolyRing, Variable
 
 
 class JetRing:
@@ -70,9 +70,7 @@ def _jet_variables(variables, s):
 
 def jet_ring(base, s):
     """Build the order-s jet ring of a ring of variables that are not jets."""
-    variables = _jet_variables(base.variables, s)
-    n = len(base.variables)
-    return JetRing(base, s, PolyRing(variables, (n,) * (s + 1)))
+    return JetRing(base, s, PolyRing(_jet_variables(base.variables, s)))
 
 
 def _power_table(e, s, i, n):
@@ -110,7 +108,8 @@ def series_substitute(f, jets):
     docstring): each term c*m of f gives the convolution, truncated at s,
     of the power tables of its variables, built once per (variable,
     exponent) and call on jet indices, and c is scaled once per distinct
-    multinomial count.  Each coefficient is one Poly on normalized terms.
+    multinomial count.  Each coefficient is one Poly on normalized terms:
+    a jet monomial is its pattern of (jet index, exponent) pairs, sorted.
     """
     if f.ring != jets.base:
         raise ValueError("polynomial does not live in the base ring")
@@ -119,8 +118,8 @@ def series_substitute(f, jets):
     tables = {}   # (variable, exponent) -> _power_table
     out = [{} for _ in range(s + 1)]
     for mono, coef in f._terms.items():
-        partial = None if mono.exps else _power_table(0, s, 0, n)   # x^0 for a constant
-        for i, e in mono.exps:
+        partial = None if mono else _power_table(0, s, 0, n)   # x^0 for a constant
+        for i, e in mono:
             factor = tables.get((i, e))
             if factor is None:
                 factor = tables[i, e] = _power_table(e, s, i, n)
@@ -141,7 +140,7 @@ def series_substitute(f, jets):
                 c = scaled.get(count)
                 if c is None:
                     c = scaled[count] = coef * count
-                terms[Monomial._trusted(tuple(sorted(exps)))] = c
+                terms[tuple(sorted(exps))] = c
     return tuple(Poly._trusted(jets.ring, terms) for terms in out)
 
 
@@ -183,7 +182,7 @@ class RingMap:
         out = self.target.zero()
         for mono, coef in f._terms.items():
             term = self.target.constant(coef)
-            for i, e in mono.exps:
+            for i, e in mono:
                 term = term * self.images[i] ** e
             out = out + term
         return out

@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from .poly import Ideal, Monomial, Poly
+from .poly import Ideal, Poly
 
 
 class GenericMatrix:
@@ -73,6 +73,6 @@ def minors(r, M):
             terms = {}
             for p, sign in perms:
                 support = sorted([row[j] for row, j in zip(sub, p)])
-                terms[Monomial._trusted(tuple([(k, 1) for k in support]))] = sign
+                terms[tuple([(k, 1) for k in support])] = sign
             gens.append(Poly._trusted(M.ring, terms))
     return Ideal(M.ring, gens)

@@ -29,7 +29,7 @@ first and `itertools.compress`.
 from fractions import Fraction
 from itertools import compress, groupby
 
-from .poly import Ideal, Monomial, Poly, monomial_str, term_key
+from .poly import Ideal, Poly, monomial_str, term_key
 from .jets import jet_ring
 
 
@@ -37,7 +37,8 @@ class MonomialIdeal:
     """An ideal generated by monomials, kept minimal.
 
     Generators that duplicate or are divisible by another generator are
-    dropped; the order of the surviving generators is preserved.
+    dropped; the order of the surviving generators is preserved.  As for
+    `Poly`, the indices are checked and the monomials' form is not.
     """
 
     __slots__ = ("ring", "generators", "squarefree")
@@ -45,18 +46,18 @@ class MonomialIdeal:
     def __init__(self, ring, generators):
         self.ring = ring
         generators = tuple(generators)
-        if any(m.exps and m.exps[-1][0] >= len(ring.variables) for m in generators):
+        if any(m and (m[-1][0] >= len(ring.variables) or m[0][0] < 0) for m in generators):
             raise ValueError("monomial uses a variable outside the ring")
         # exponent e is written in unary by its rank among the distinct
         # exponents, a strictly increasing map that fixes 0 and keeps divisibility
-        distinct = sorted({e for m in generators for _, e in m.exps})
+        distinct = sorted({e for m in generators for _, e in m})
         rank = {e: r for r, e in enumerate(distinct, 1)}
         w = len(rank)
-        masks = [sum(((1 << rank[e]) - 1) << (i * w) for i, e in m.exps) for m in generators]
+        masks = [sum(((1 << rank[e]) - 1) << (i * w) for i, e in m) for m in generators]
         kept = set(_minimal_masks(masks))
         self.generators = tuple(dict.fromkeys(
             m for m, mask in zip(generators, masks) if mask in kept))
-        self.squarefree = all(m.is_squarefree() for m in self.generators)
+        self.squarefree = all(e == 1 for m in self.generators for _, e in m)
 
     @classmethod
     def _trusted(cls, ring, generators):
@@ -144,7 +145,7 @@ def jets_radical(s, I):
 
     Each support is keyed by its mask of jet indices; it is squarefree, so
     one divides another iff its mask is inside the other's.  The masks are
-    minimalized once, and only the kept ones become Monomials."""
+    minimalized once, and only the kept ones are decoded into monomials."""
     if isinstance(I, MonomialIdeal):
         monomials = I.generators
     elif is_monomial_ideal(I):
@@ -154,8 +155,8 @@ def jets_radical(s, I):
     ring = jet_ring(I.ring, s).ring
     n = len(I.ring.variables)
     supports = {sum([1 << k for k in idx]): idx for m in monomials
-                for idx in _jet_supports(m.exps, s, n)}
-    kept = [Monomial._trusted(tuple([(k, 1) for k in supports[mask]]))
+                for idx in _jet_supports(m, s, n)}
+    kept = [tuple([(k, 1) for k in supports[mask]])
             for mask in _minimal_masks(supports)]
     kept.sort(key=lambda m: term_key(ring, m), reverse=True)
     return MonomialIdeal._trusted(ring, tuple(kept))
@@ -227,4 +228,4 @@ def minimal_primes_squarefree(I):
     """
     if not I.squarefree:
         raise ValueError("minimal primes require a squarefree monomial ideal")
-    return _transversals((m.support() for m in I.generators), I.ring.variables)
+    return _transversals(([i for i, _ in m] for m in I.generators), I.ring.variables)

@@ -1,13 +1,15 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A ring is an ordered list of named variables over QQ, partitioned into
-consecutive blocks, given by their sizes.  A plain ring is a single
-block; the order-s jet ring of n variables has s+1 blocks of n, one per
-jet order.  Terms are kept in graded reverse lexicographic order,
-comparing later blocks first, so a tower like QQ[x0,y0,z0][x1,y1,z1]
-prints with the outer (higher order) variables dominating.  `term_key`
-packs each nonzero field of the order into one int, exact while every
-monomial's total degree is below 2^32.
+consecutive blocks, the runs of variables of one jet order.  A plain ring
+is a single block; the order-s jet ring of n variables has s+1 blocks of
+n, one per jet order.  A monomial is the tuple of its (variable index,
+exponent) pairs, sorted by index, with positive exponents; () is 1, and
+`Monomial` builds one from any exponent map.  Terms are kept in graded
+reverse lexicographic order, comparing later blocks first, so a tower
+like QQ[x0,y0,z0][x1,y1,z1] prints with the outer (higher order)
+variables dominating.  `term_key` packs each nonzero field of the order
+into one int, exact while every monomial's total degree is below 2^32.
 
 Coefficients are `fractions.Fraction`, so all arithmetic is exact and
 every coefficient is stored with positive denominator in lowest terms.
@@ -113,22 +115,19 @@ def _subscripted(text, subscripts):
 class PolyRing:
     """Ordered variables over QQ, split into consecutive blocks.
 
-    `blocks` is the tuple of the blocks' sizes; a plain ring is (n,), and
-    a jet ring (n,) * (s+1).  A jet variable carries its own order, as
-    `Variable.jet_order`.  `_key` holds, per variable, the `term_key` ints
-    of its block's degree field and its own, at value 0.
+    `blocks` is the tuple of the blocks' sizes, the runs of equal
+    `Variable.jet_order` in list order: a plain ring is (n,), and a jet
+    ring (n,) * (s+1); an empty ring is (0,).  `_key` holds, per variable,
+    the `term_key` ints of its block's degree field and its own, at value 0.
     """
 
     __slots__ = ("variables", "blocks", "_names", "_by_name", "_key", "_hash")
 
-    def __init__(self, variables, blocks=None):
+    def __init__(self, variables):
         self.variables = tuple(variables)
         n = len(self.variables)
-        if blocks is None:
-            blocks = (n,)
-        self.blocks = tuple(int(size) for size in blocks)
-        if sum(self.blocks) != n or min(self.blocks, default=0) < 0:
-            raise ValueError("blocks do not partition the variable list")
+        self.blocks = tuple(len(list(run)) for _, run in
+                            itertools.groupby(self.variables, lambda v: v.jet_order)) or (0,)
         self._names = tuple(v.name for v in self.variables)
         self._by_name = {name: i for i, name in enumerate(self._names)}
         if len(self._by_name) != n:
@@ -141,8 +140,8 @@ class PolyRing:
             degree = (pos + size) << _WIDTH
             fields += [(degree, -(p << _WIDTH)) for p in range(pos, pos + size)]
             pos += size + 1
-        # a name determines its Variable, so names stand in for the variables
-        self._hash = hash((self._names, self.blocks))
+        # a name determines its Variable, and the variables the blocks
+        self._hash = hash(self._names)
 
     def index(self, v):
         """The index of a variable, given as a Variable or by its name."""
@@ -170,9 +169,9 @@ class PolyRing:
         return [self.var(i) for i in range(len(self.variables))]
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing)
-                and self.variables == other.variables
-                and self.blocks == other.blocks)
+        if self is other:
+            return True
+        return isinstance(other, PolyRing) and self.variables == other.variables
 
     def __hash__(self):
         return self._hash
@@ -190,61 +189,25 @@ class PolyRing:
         return f"PolyRing({self})"
 
 
-class Monomial:
-    """Sparse exponent map, stored as index-sorted (variable, exponent) pairs.
-
-    The empty monomial is 1; zero exponents are never stored; degrees are below 2^32.
-    """
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps=()):
-        items = exps.items() if isinstance(exps, dict) else exps
-        acc = {}
-        for i, e in items:
-            acc[i] = acc.get(i, 0) + e
-        cleaned = []
-        for i, e in sorted(acc.items()):
-            if e < 0:
-                raise ValueError("negative exponent in monomial")
-            if e:
-                cleaned.append((i, e))
-        _check_degree(sum(e for _, e in cleaned))
-        self.exps = tuple(cleaned)
-
-    @classmethod
-    def _trusted(cls, exps):
-        """A monomial on `exps` already index-sorted with positive exponents."""
-        m = object.__new__(cls)
-        m.exps = exps
-        return m
-
-    def degree(self):
-        return sum(e for _, e in self.exps)
-
-    def weighted_degree(self, weights):
-        return sum(weights[i] * e for i, e in self.exps)
-
-    def support(self):
-        return tuple(i for i, _ in self.exps)
-
-    def is_squarefree(self):
-        return all(e == 1 for _, e in self.exps)
-
-    def __mul__(self, other):
-        return Monomial(self.exps + other.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        if not self.exps:
-            return "Monomial(1)"
-        body = "*".join(f"v{i}" if e == 1 else f"v{i}^{e}" for i, e in self.exps)
-        return f"Monomial({body})"
+def Monomial(exps=()):
+    """The monomial of an exponent map, a dict or (index, exponent) pairs in
+    which repeated indices add up, in normal form: the tuple of its
+    (variable index, exponent) pairs sorted by index, with positive
+    exponents; () is 1.  Indices are naturals and degrees below 2^32."""
+    items = exps.items() if isinstance(exps, dict) else exps
+    acc = {}
+    for i, e in items:
+        acc[i] = acc.get(i, 0) + e
+    cleaned = []
+    for i, e in sorted(acc.items()):
+        if i < 0:
+            raise ValueError("negative variable index in monomial")
+        if e < 0:
+            raise ValueError("negative exponent in monomial")
+        if e:
+            cleaned.append((i, e))
+    _check_degree(sum(e for _, e in cleaned))
+    return tuple(cleaned)
 
 
 def _check_degree(d):
@@ -269,7 +232,7 @@ def term_key(ring, mono):
     fields = ring._key
     key = []   # from the lowest field up, reversed at the end; the first append is the 0
     block = degree = 0
-    for i, e in mono.exps:
+    for i, e in mono:
         top, own = fields[i]
         if top != block:
             key.append(block + degree)
@@ -284,11 +247,15 @@ def monomial_str(ring, mono):
     """Print factors in variable-list order, e.g. "y0*z0*x2" or "x^2*y";
     the monomial 1 prints as "1"."""
     names = ring._names
-    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono.exps]) or "1"
+    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]) or "1"
 
 
 class Poly:
-    """A sparse polynomial: monomials mapped to nonzero rational coefficients."""
+    """A sparse polynomial: monomials mapped to nonzero rational coefficients.
+
+    The constructor checks that the monomials' indices lie in the ring and
+    takes their form as given: build one with `Monomial` if unsure.
+    """
 
     __slots__ = ("ring", "_terms")
 
@@ -298,7 +265,7 @@ class Poly:
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for m, c in items:
-            if m.exps and m.exps[-1][0] >= nvars:
+            if m and (m[-1][0] >= nvars or m[0][0] < 0):
                 raise ValueError("monomial uses a variable outside the ring")
             c = clean.get(m, 0) + Fraction(c)
             if c:
@@ -331,7 +298,7 @@ class Poly:
         return not self._terms
 
     def degree(self):
-        return max((m.degree() for m in self._terms), default=-1)
+        return max((sum(e for _, e in m) for m in self._terms), default=-1)
 
     def is_term(self):
         return len(self._terms) == 1
@@ -375,7 +342,7 @@ class Poly:
         terms = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = m1 * m2
+                m = Monomial(m1 + m2)
                 s = terms.get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s
@@ -412,7 +379,7 @@ class Poly:
             num, den = c.numerator, c.denominator
             sign = "-" if num < 0 else "+"
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if not m.exps:
+            if not m:
                 out += (sign, mag)
             elif mag == "1":
                 out += (sign, monomial_str(self.ring, m))
@@ -428,7 +395,7 @@ def is_homogeneous(f, weights):
     """True iff every term of f has the same weighted degree."""
     if len(weights) != len(f.ring.variables):
         raise ValueError("need one weight per variable")
-    degrees = {m.weighted_degree(weights) for m in f._terms}
+    degrees = {sum(weights[i] * e for i, e in m) for m in f._terms}
     return len(degrees) <= 1
 
 
@@ -629,7 +596,7 @@ def _term(cur, ring):
     while cur.accept_sym("*"):
         _factor(cur, ring, exps)
     _check_degree(sum(exps.values()))
-    return Monomial._trusted(tuple(sorted(exps.items()))), num, den
+    return tuple(sorted(exps.items())), num, den
 
 
 def _coeff(cur):

@@ -35,7 +35,7 @@ def dense_from_poly(f, nvars=None):
     out = {}
     for m, c in f._terms.items():
         e = [0] * n
-        for i, ex in m.exps:
+        for i, ex in m:
             e[i] = ex
         out[tuple(e)] = Fraction(c)
     return out
@@ -74,8 +74,8 @@ def dense_pow(a, k, nvars):
 
 def monomial_divides(a, b):
     """Whether monomial a divides b: no exponent of a exceeds b's."""
-    exps = dict(b.exps)
-    return all(exps.get(i, 0) >= e for i, e in a.exps)
+    exps = dict(b)
+    return all(exps.get(i, 0) >= e for i, e in a)
 
 
 def dense_term_key(ring, mono):
@@ -85,7 +85,7 @@ def dense_term_key(ring, mono):
     then by the negated exponents read from the block's last variable.
     """
     exps = [0] * len(ring.variables)
-    for i, e in mono.exps:
+    for i, e in mono:
         exps[i] = e
     key = []
     for start, stop in reversed(list(_block_slices(ring))):
@@ -104,7 +104,7 @@ def dense_poly_str(f):
     for m, c in sorted(f._terms.items(), key=lambda kv: dense_term_key(f.ring, kv[0]),
                        reverse=True):
         vector = [0] * len(names)
-        for i, e in m.exps:
+        for i, e in m:
             vector[i] = e
         mono = "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
                         for i, e in enumerate(vector) if e)
@@ -144,7 +144,7 @@ def series_by_full_expansion(f, jr):
     total = {}
     for m, c in f._terms.items():
         term = {(0,) * n: Fraction(c)}
-        for i, ex in m.exps:
+        for i, ex in m:
             term = dense_mul(term, dense_pow(subs[i], ex, n))
         total = dense_add(total, term)
     by_degree = {}
@@ -184,7 +184,7 @@ def series_by_relabelled_tables(f, jr):
     out = [{} for _ in range(s + 1)]
     for mono, coef in f._terms.items():
         partial = [[((), 1)]] + [[] for _ in range(s)]
-        for i, e in mono.exps:
+        for i, e in mono:
             factor = factors.get((i, e))
             if factor is None:
                 if e not in tables:
@@ -201,8 +201,29 @@ def series_by_relabelled_tables(f, jr):
             partial = grown
         for terms, row in zip(out, partial):
             for exps, count in row:
-                terms[Monomial._trusted(tuple(sorted(exps)))] = coef if count == 1 else coef * count
+                terms[tuple(sorted(exps))] = coef if count == 1 else coef * count
     return tuple(Poly._trusted(jr.ring, terms) for terms in out)
+
+
+def assert_normal_form(x):
+    """x, a Poly or a MonomialIdeal, holds the invariants of its validating
+    constructor: each monomial is a plain tuple that `Monomial` returns
+    unchanged, so its indices ascend and its exponents are positive, each
+    coefficient is a nonzero Fraction, and the constructor rebuilds x."""
+    if isinstance(x, MonomialIdeal):
+        monomials = x.generators
+        rebuilt = MonomialIdeal(x.ring, [Monomial(m) for m in monomials])
+        assert rebuilt.squarefree == x.squarefree
+    else:
+        monomials = x._terms
+        assert all(type(coef) is Fraction and coef != 0 for coef in x._terms.values())
+        rebuilt = Poly(x.ring, [(Monomial(m), coef) for m, coef in x._terms.items()])
+        assert hash(rebuilt) == hash(x)
+    for m in monomials:
+        assert type(m) is tuple and Monomial(m) == m
+        assert all(e > 0 for _, e in m)
+        assert all(a[0] < b[0] for a, b in zip(m, m[1:]))
+    assert rebuilt == x
 
 
 # --- graph text --------------------------------------------------------------
@@ -421,8 +442,8 @@ def jets_radical_by_constructor(s, I):
         monomials = [m for f in I.generators for m in f._terms]
     ring = jet_ring(I.ring, s).ring
     n = len(I.ring.variables)
-    supports = {Monomial._trusted(tuple((k, 1) for k in idx)) for m in monomials
-                for idx in _jet_supports(m.exps, s, n)}
+    supports = {tuple((k, 1) for k in idx) for m in monomials
+                for idx in _jet_supports(m, s, n)}
     return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
                                       reverse=True))
 
@@ -452,7 +473,7 @@ def jets_radical_by_terms(s, I):
         I = I.to_ideal()
     ji = jets_ideal(s, I)
     ring = ji.ring
-    supports = {Monomial((i, 1) for i, _ in m.exps)
+    supports = {Monomial((i, 1) for i, _ in m)
                 for g in ji.generators for m in g._terms}
     return MonomialIdeal(ring, sorted(supports, key=lambda m: term_key(ring, m),
                                       reverse=True))
@@ -466,7 +487,7 @@ def jets_graph_by_terms(s, G):
 def jets_hypergraph_by_terms(s, H):
     """The jets of a hypergraph through its edge ideal and term collection."""
     rad = jets_radical_by_terms(s, edge_ideal(H))
-    return HyperGraph(rad.ring.variables, [m.support() for m in rad.generators])
+    return HyperGraph(rad.ring.variables, [[i for i, _ in m] for m in rad.generators])
 
 
 def intersect_variable_primes(ring, primes):

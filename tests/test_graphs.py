@@ -7,14 +7,14 @@ import pytest
 from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, ParseError, PolyRing,
                         Variable, chromatic_number, complement_graph, edge_ideal,
                         graph_from_edge_ideal, is_chordal, jet_ring, jets_graph,
-                        jets_hypergraph, minimal_primes_squarefree,
+                        jets_hypergraph, jets_radical, minimal_primes_squarefree,
                         minimal_transversals, minimal_vertex_covers, monomial_str,
                         parse_graph_text, parse_variables)
 
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
-from oracles import (brute_chromatic, brute_minimal_covers, chordal_by_induced_cycles,
-                     goward_smith_jets_edges, jets_graph_by_terms, jets_hypergraph_by_terms,
-                     parse_graph_text_by_regex, random_graph)
+from oracles import (assert_normal_form, brute_chromatic, brute_minimal_covers,
+                     chordal_by_induced_cycles, goward_smith_jets_edges, jets_graph_by_terms,
+                     jets_hypergraph_by_terms, parse_graph_text_by_regex, random_graph)
 
 
 def _edge_names(G):
@@ -41,7 +41,7 @@ def test_edge_ideal_triangle():
     a, b, c = (Variable(ch) for ch in "abc")
     I = edge_ideal(Graph([a, b, c], [(a, b), (b, c), (c, a)]))
     assert len(I.generators) == 3
-    assert all(m.degree() == 2 for m in I.generators)
+    assert all(sum(e for _, e in m) == 2 for m in I.generators)
 
 
 def test_graph_from_edge_ideal_roundtrip(demo_graph):
@@ -147,6 +147,10 @@ def test_jets_graphs_match_term_collection():
         H = HyperGraph(G.vertices, [rng.sample(range(n), rng.randint(1, min(n, 3)))
                                     for _ in range(rng.randint(0, 4))])
         assert jets_hypergraph(s, H) == jets_hypergraph_by_terms(s, H)
+        assert_normal_form(edge_ideal(G))
+        assert_normal_form(edge_ideal(H))
+        # the vertices of the jets graph are the jet ring's variables, so its blocks too
+        assert edge_ideal(jets_graph(s, G)).ring == jets_radical(s, edge_ideal(G)).ring
 
 
 def test_graph_jets_agree_with_the_ring_path():

@@ -7,7 +7,7 @@ from jetschemes import (GenericMatrix, PolyRing, generic_matrix, jets_ideal, min
                         parse_variables, run_script)
 
 from expected import GENERIC_3X3_ROWS
-from oracles import cofactor_det, leibniz_det
+from oracles import assert_normal_form, cofactor_det, leibniz_det
 
 
 @pytest.fixture
@@ -114,6 +114,8 @@ def test_generator_counts():
         M = generic_matrix(ring, m, n)
         for r in range(1, min(m, n) + 1):
             assert len(minors(r, M).generators) == comb(m, r) * comb(n, r)
+            for g in minors(r, M).generators:
+                assert_normal_form(g)
 
 
 def test_cofactor_matches_leibniz_up_to_4x4():
@@ -149,7 +151,7 @@ def test_minors_match_sympy_determinants():
             terms = sympy.Poly(g, *symbols).terms()
             assert len(terms) == len(f._terms)
             assert ({(tuple((i, e) for i, e in enumerate(exps) if e), int(c)) for exps, c in terms}
-                    == {(m.exps, c) for m, c in f._terms.items()})
+                    == set(f._terms.items()))
 
 
 def test_jets_of_minors_generator_counts():

@@ -15,7 +15,8 @@ from jetschemes import (HyperGraph, Ideal, Monomial, MonomialIdeal, PolyRing, Va
 from expected import XYZ_JET2_MINIMAL_PRIMES, XYZ_JET2_RADICAL
 from jetschemes import monomial
 from jetschemes.monomial import _by_size, _minimal_masks
-from oracles import (brute_minimal_covers, by_size_by_members, intersect_variable_primes,
+from oracles import (assert_normal_form, brute_minimal_covers, by_size_by_members,
+                     intersect_variable_primes,
                      jets_radical_by_constructor, jets_radical_by_terms,
                      minimal_masks_all_pairs, monomial_divides, random_monomial_ideal,
                      random_squarefree_ideal)
@@ -50,6 +51,7 @@ def test_minimalize_random_is_minimal_generating_set():
             exps[i] = exps.get(i, 0) + 1
         mons.append(Monomial(exps))
     kept = minimalize(ring, mons)
+    assert_normal_form(MonomialIdeal(ring, mons))
     for m in kept:
         assert not any(g != m and monomial_divides(g, m) for g in kept)
     for m in mons:
@@ -218,20 +220,22 @@ def test_jets_radical_vanishes_exactly_on_arcs_of_high_order():
         rad = jets_radical(s, I)
         base = {(v.base, v.subscripts): i for i, v in enumerate(ring.variables)}
         jet = [(base[v.base, v.subscripts], v.jet_order) for v in rad.ring.variables]
-        exps = [next(iter(f._terms)).exps for f in I.generators]
+        exps = [next(iter(f._terms)) for f in I.generators]
         for orders in product(range(s + 2), repeat=len(ring.variables)):
-            on_radical = all(any(jet[k][1] < orders[jet[k][0]] for k in m.support())
+            on_radical = all(any(jet[k][1] < orders[jet[k][0]] for k, _ in m)
                              for m in rad.generators)
             on_jets = all(sum(e * orders[i] for i, e in ex) >= s + 1 for ex in exps)
             assert on_radical == on_jets, (str(I), s, orders)
 
 
 def _assert_radical_by_constructor(s, I):
+    assert_normal_form(_as_monomial_ideal(I))
     for J in (I, _as_monomial_ideal(I)):
         rad = jets_radical(s, J)
         assert rad == jets_radical_by_constructor(s, J), (str(I), s)
         assert rad.squarefree
         assert MonomialIdeal(rad.ring, rad.generators) == rad
+        assert_normal_form(rad)
 
 
 def test_jets_radical_matches_the_constructor_path():
@@ -293,11 +297,11 @@ def test_jets_radical_matches_prime_intersection_oracle():
         I = random_squarefree_ideal(rng, ring, max_gens=3)
         ji = jets_ideal(1, I.to_ideal())
         jring = ji.ring
-        supports = [m.support() for g in ji.generators for m in g._terms]
+        supports = [tuple(i for i, _ in m) for g in ji.generators for m in g._terms]
         covers = brute_minimal_covers(len(jring.variables), supports)
         primes = [[jring.variables[i] for i in sorted(c)] for c in covers]
         rad = jets_radical(1, I)
-        assert {frozenset(m.support()) for m in rad.generators} == \
+        assert {frozenset(i for i, _ in m) for m in rad.generators} == \
             intersect_variable_primes(jring, primes)
 
 
@@ -329,7 +333,7 @@ def test_minimal_primes_match_subset_scan():
         I = random_squarefree_ideal(rng, ring)
         primes = minimal_primes_squarefree(I)
         got = [frozenset(ring.index(v) for v in p) for p in primes]
-        supports = [m.support() for m in I.generators]
+        supports = [tuple(i for i, _ in m) for m in I.generators]
         want = brute_minimal_covers(6, supports)
         assert got == [frozenset(c) for c in want]
         covers = minimal_transversals(supports)
@@ -378,7 +382,7 @@ def test_minimal_primes_match_the_frozenset_path():
         gens = [Monomial((i, 1) for i in set(e)) for e in edges]
         I = MonomialIdeal(ring, gens)
         want = [tuple(ring.variables[i] for i in sorted(c))
-                for c in minimal_transversals(m.support() for m in I.generators)]
+                for c in minimal_transversals(tuple(i for i, _ in m) for m in I.generators)]
         assert minimal_primes_squarefree(I) == want, edges
 
 
@@ -404,7 +408,7 @@ def test_radical_generators_squarefree_for_squarefree_input():
     for _ in range(8):
         I = random_squarefree_ideal(rng, ring, max_gens=3)
         rad = jets_radical(rng.randint(0, 2), I)
-        assert all(m.is_squarefree() for m in rad.generators)
+        assert all(e == 1 for m in rad.generators for _, e in m)
         assert rad.squarefree
 
 
@@ -418,7 +422,7 @@ def test_prime_cover_duality_direct_check():
     ring = PolyRing(parse_variables("a..f"))
     for _ in range(10):
         I = random_squarefree_ideal(rng, ring)
-        supports = [set(m.support()) for m in I.generators]
+        supports = [{i for i, _ in m} for m in I.generators]
         for p in minimal_primes_squarefree(I):
             cover = {ring.index(v) for v in p}
             assert all(cover & s for s in supports)
@@ -434,7 +438,7 @@ def test_intersection_identity():
         I = random_squarefree_ideal(rng, ring)
         primes = minimal_primes_squarefree(I)
         assert intersect_variable_primes(ring, primes) == \
-            {frozenset(m.support()) for m in I.generators}
+            {frozenset(i for i, _ in m) for m in I.generators}
 
 
 def test_monomial_ideal_minimalizes_but_keeps_order(xyz_ring):
@@ -444,3 +448,13 @@ def test_monomial_ideal_minimalizes_but_keeps_order(xyz_ring):
     I = MonomialIdeal(xyz_ring, [z, xy, x])
     assert list(I.generators) == [z, x]
     assert MonomialIdeal(xyz_ring, iter([z, xy, x])) == I
+
+
+def test_monomial_ideal_refuses_monomials_outside_the_ring(xyz_ring):
+    for bad in (((-1, 2),), ((-1, 1), (0, 1)), ((3, 1),), ((0, 1), (5, 2))):
+        with pytest.raises(ValueError, match="outside the ring"):
+            MonomialIdeal(xyz_ring, [((0, 1),), bad])
+    with pytest.raises(ValueError, match="negative variable index"):
+        MonomialIdeal(xyz_ring, [Monomial({-1: 2})])
+    I = MonomialIdeal(xyz_ring, [((0, 1), (2, 2)), ((2, 3),)])
+    assert str(I) == "ideal(x*z^2,z^3)" and not I.squarefree
