@@ -84,16 +84,17 @@ def _split_statements(text):
     return spans
 
 
-def _read(cur, *shape):
-    """The texts of the next tokens if they have `shape`, else None: an entry
-    "ident" (a name, with no subscript), "int" or "end" asks for a token of
-    that kind, any other for that text."""
-    texts = []
-    for want in shape:
-        kind, text, _ = cur.advance()
-        if (kind if want in ("ident", "int", "end") else text) != want or "_(" in text:
-            return None
-        texts.append(text)
+def _read(cur, what, at, *shape):
+    """The texts of the next tokens, which must have `shape`, else "malformed
+    `what`" is raised at token `at`: an entry "ident" (a name, with no
+    subscript) or "int" asks for a token of that kind, "" for the end, and
+    any other for that text."""
+    texts = cur.toks[cur.i:cur.i + len(shape)]   # short only if it holds the ""
+    cur.i += len(shape)
+    for want, tok in zip(shape, texts):
+        kind = "int" if tok[:1].isdecimal() else "ident" if tok[:1].isalpha() else tok
+        if (kind if want in ("ident", "int") else tok) != want or "_(" in tok:
+            raise cur.error(f"malformed {what}", at)
     return texts
 
 
@@ -107,13 +108,10 @@ def _as_monomial_ideal(value, name):
 
 def _command(cur, session):
     """Read and run the `command` ending a statement: (echo, verbatim as "jets 007 I", result)."""
-    word, pos = cur.peek()[1:]
-    shape = ("ident", "int", "ident") if word in _NAT_COMMANDS else ("ident", "ident")
-    texts = _read(cur, *shape, "end")
-    if texts is None:
-        raise ParseError("malformed command", pos)
+    shape = ("ident", "int", "ident") if cur.toks[cur.i] in _NAT_COMMANDS else ("ident", "ident")
+    texts = _read(cur, "command", cur.i, *shape, "")
     nat = int(texts[1]) if len(texts) == 4 else None
-    return " ".join(texts[:-1]), _run_command(word, nat, texts[-2], session)
+    return " ".join(texts[:-1]), _run_command(texts[0], nat, texts[-2], session)
 
 
 def _run_command(cmd, nat, name, session):
@@ -180,13 +178,13 @@ def _exec_statement(text, start, end, session):
     them and JSON mode, which prints results only, does not.
     """
     cur = _Cursor(text, start, end)
-    head, pos = cur.peek()[1:]
+    toks = cur.toks
+    head = toks[0]
     if head in _BINDABLE:
-        texts = _read(cur, head, "ident", "=")
-        if texts is None or head == "ring" and not cur.accept_sym("["):
-            raise ParseError(f"malformed {head} statement", pos)
-        name = texts[1]
-        if cur.peek()[1] in _BINDABLE[head] and cur.tokens[cur.i + 1][0] in ("int", "ident"):
+        shape = (head, "ident", "=", "[") if head == "ring" else (head, "ident", "=")
+        name = _read(cur, f"{head} statement", 0, *shape)[1]
+        # a bound command's word is followed by an int or an ident
+        if toks[cur.i] in _BINDABLE[head] and toks[cur.i + 1][:1].isalnum():
             echo, result = _command(cur, session)
             session.define(name, result)
             return f"{head} {name} = {echo}", None
@@ -195,25 +193,23 @@ def _exec_statement(text, start, end, session):
                 raise ValueError("no ring defined yet")
             value = Ideal(session.current_ring, _polys(cur, session.current_ring))
         else:
-            body = cur.peek()[2]
+            body = cur.i
             try:   # a bad or repeated name is reported at the body's first token
                 value = PolyRing(_variables(cur)) if head == "ring" else _graph(cur)
             except ParseError:
                 raise
             except ValueError as e:
-                raise ParseError(str(e), body) from None
+                raise cur.error(str(e), body) from None
             if head == "ring":
-                cur.expect_sym("]")
+                cur.expect("]")
         cur.expect_end()
         session.define(name, value)
         if head == "ring":
             session.current_ring = value
         return f"{head} {name} = {value}", None
     if head == "matrix":
-        texts = _read(cur, "matrix", "ident", "=", "generic", "(", "ident", ",", "int", ",",
-                      "int", ")", "end")
-        if texts is None:
-            raise ParseError("malformed matrix statement", pos)
+        texts = _read(cur, "matrix statement", 0, "matrix", "ident", "=", "generic", "(",
+                      "ident", ",", "int", ",", "int", ")", "")
         name, ring_name, rows, cols = texts[1], texts[5], int(texts[7]), int(texts[9])
         ring = session.lookup(ring_name, PolyRing, "a ring")
         matrix = generic_matrix(ring, rows, cols)
@@ -221,7 +217,7 @@ def _exec_statement(text, start, end, session):
         return f"matrix {name} = generic({ring_name},{rows},{cols})\n{matrix}", None
     if head in _COMMANDS:
         return _command(cur, session)
-    raise ParseError(f"unknown statement {head!r}", pos)
+    raise cur.error(f"unknown statement {head!r}", 0)
 
 
 def run_script(text, json_mode=False):

@@ -331,18 +331,19 @@ def parse_graph_text(text):
 
 def _graph(cur):
     """One `graph` read from `cur`, up to its end token."""
-    kind, value, _ = cur.peek()
-    declared = kind == "ident" and value == "vertices" and cur.tokens[cur.i + 1][1] != "-"
+    toks = cur.toks
+    declared = toks[cur.i] == "vertices" and toks[cur.i + 1] != "-"
     cur.i += declared   # past the header's "vertices"
     vertices = _variables(cur) if declared else []
     index = {v.name: i for i, v in enumerate(vertices)}
     edges = []
-    while cur.peek()[0] != "end":
-        if cur.accept_sym(","):
+    while toks[cur.i]:
+        if toks[cur.i] == ",":
+            cur.i += 1
             continue
-        u = cur.name("a vertex name")[0]
-        cur.expect_sym("-")
-        w = cur.name("a vertex name")[0]
+        u = cur.name("a vertex name")
+        cur.expect("-")
+        w = cur.name("a vertex name")
         for name in (u, w):
             if name not in index:
                 if declared:

@@ -29,7 +29,7 @@ first and `itertools.compress`.
 from fractions import Fraction
 from itertools import compress, groupby
 
-from .poly import Ideal, Poly, monomial_str, term_key
+from .poly import Ideal, Monomial, Poly, monomial_str, term_key
 from .jets import jet_ring
 
 
@@ -37,8 +37,8 @@ class MonomialIdeal:
     """An ideal generated by monomials, kept minimal.
 
     Generators that duplicate or are divisible by another generator are
-    dropped; the order of the surviving generators is preserved.  As for
-    `Poly`, the indices are checked and the monomials' form is not.
+    dropped; the order of the surviving generators is preserved.  As in
+    `Poly`, the indices are checked and `Monomial` normalizes each monomial.
     """
 
     __slots__ = ("ring", "generators", "squarefree")
@@ -46,8 +46,9 @@ class MonomialIdeal:
     def __init__(self, ring, generators):
         self.ring = ring
         generators = tuple(generators)
-        if any(m and (m[-1][0] >= len(ring.variables) or m[0][0] < 0) for m in generators):
+        if any(not 0 <= i < len(ring.variables) for m in generators for i, _ in m):
             raise ValueError("monomial uses a variable outside the ring")
+        generators = tuple(map(Monomial, generators))
         # exponent e is written in unary by its rank among the distinct
         # exponents, a strictly increasing map that fixes 0 and keeps divisibility
         distinct = sorted({e for m in generators for _, e in m})

@@ -19,8 +19,6 @@ import itertools
 import re
 from fractions import Fraction
 
-_IDENT = r"[A-Za-z][A-Za-z0-9]*"  # base names and binding names
-_IDENT_RE = re.compile(_IDENT)
 _WIDTH = 32   # bits of a field value in a term_key item; degrees stay below 2^_WIDTH
 
 
@@ -48,7 +46,7 @@ class Variable:
     __slots__ = ("base", "subscripts", "jet_order", "name")
 
     def __init__(self, base, subscripts=(), jet_order=None):
-        if not _IDENT_RE.fullmatch(base):
+        if not (base[:1].isalpha() and base.isascii() and base.isalnum()):
             raise ValueError(f"invalid variable base name {base!r}")
         if base[-1].isdigit():
             raise ValueError(f"variable base {base!r} ends in a digit")
@@ -254,7 +252,7 @@ class Poly:
     """A sparse polynomial: monomials mapped to nonzero rational coefficients.
 
     The constructor checks that the monomials' indices lie in the ring and
-    takes their form as given: build one with `Monomial` if unsure.
+    brings each into normal form through `Monomial`, so keys of one monomial add up.
     """
 
     __slots__ = ("ring", "_terms")
@@ -265,8 +263,9 @@ class Poly:
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for m, c in items:
-            if m and (m[-1][0] >= nvars or m[0][0] < 0):
+            if any(not 0 <= i < nvars for i, _ in m):
                 raise ValueError("monomial uses a variable outside the ring")
+            m = Monomial(m)
             c = clean.get(m, 0) + Fraction(c)
             if c:
                 clean[m] = c
@@ -336,8 +335,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = Fraction(other)
-            # validating constructor: p * 0 must drop every term
-            return Poly(self.ring, {m: c * v for m, v in self._terms.items()})
+            terms = {m: c * v for m, v in self._terms.items()} if c else {}   # p * 0 has none
+            return Poly._trusted(self.ring, terms)
         self._check_ring(other)
         terms = {}
         for m1, c1 in self._terms.items():
@@ -450,77 +449,80 @@ class Ideal:
 #
 # graph  := [ 'vertices' vars ] { ',' | var '-' var }   ("vertices-a" is an edge)
 #
-# A var written compactly ("x_(1,12)": no spaces, no leading zeros) is
-# scanned whole as one ident token, whose text is its name; any other
-# spelling ("x _( 1, 012 )") is read token by token by the same `var` rule.
+# Tokens are strings, and "" ends them; the first character gives the kind: a
+# digit an int, a letter an ident, any other a symbol.  A var written compactly
+# ("x_(1,12)": no spaces, no leading zeros) is scanned whole as one ident token,
+# whose text is its name; "x _( 1, 012 )" is read token by token by `var`.
 #
 # "a..e" and "x_(1,1)..x_(3,3)" expand to ranges (single letters, or a box
 # of subscript tuples enumerated with the last coordinate varying fastest).
 # ---------------------------------------------------------------------------
 
 _NAT = "(?:0|[1-9][0-9]*)"
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT}(?:_\({_NAT}(?:,{_NAT})*\))?)"
-                       r"|(?P<sym>\.\.|[-+*/^_(),=\[\]])|(?P<bad>\S))")
+# ungrouped, so that `findall` returns the tokens' texts; it skips the spaces
+_TOKEN_RE = re.compile(rf"\d+|[A-Za-z][A-Za-z0-9]*(?:_\({_NAT}(?:,{_NAT})*\))?"
+                       r"|\.\.|[-+*/^_(),=\[\]]")
+# ends at what no token takes: a character outside their alphabet, or the last
+# dot of an odd run; it starts with a class, so `search` skips to candidates
+_BAD_RE = re.compile(r"[^\s\dA-Za-z+\-*/^_(),=\[\]](?:(?<=[^.])|(?<!\.\.)(?:\.\.)*(?!\.))")
 
 
 class _Cursor:
-    """The tokens of `text[start:end]`, at their offsets in `text`, read by every grammar."""
+    """The tokens of `text[start:end]` as strings, each of the kind its first
+    character gives, then "" for the end; every grammar reads them from index
+    `i`.  A bad character anywhere in the span is reported first, before an
+    earlier grammar error, and offsets are found only for errors."""
+
+    __slots__ = ("text", "start", "end", "toks", "i")
 
     def __init__(self, text, start=0, end=None):
         end = len(text) if end is None else end
-        self.tokens = tokens = []
-        for m in _TOKEN_RE.finditer(text, start, end):   # a match skips the spaces before it
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-            tokens.append((kind, m[kind], m.start(kind)))
-        tokens.append(("end", "", end))
-        self.i = 0
+        if bad := _BAD_RE.search(text, start, end):
+            raise ParseError(f"unexpected character {text[bad.end() - 1]!r}", bad.end() - 1)
+        self.text, self.start, self.end, self.i = text, start, end, 0
+        self.toks = _TOKEN_RE.findall(text, start, end) + [""]
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, i=None):
+        """A ParseError at token `i`, by default the next one, at the offset
+        found by scanning the span again up to it; the end is at the span's end."""
+        tokens = _TOKEN_RE.finditer(self.text, self.start, self.end)
+        m = next(itertools.islice(tokens, self.i if i is None else i, None), None)
+        return ParseError(message, self.end if m is None else m.start())
 
-    def advance(self):
-        tok = self.tokens[self.i]
+    def expect(self, sym):
+        if self.toks[self.i] != sym:
+            raise self.error(f"expected {sym!r}")
         self.i += 1
-        return tok
 
-    def accept_sym(self, ch):
-        kind, value, _ = self.tokens[self.i]
-        if kind == "sym" and value == ch:
-            self.i += 1
-            return True
-        return False
-
-    def expect_sym(self, ch):
-        kind, value, pos = self.advance()
-        if kind != "sym" or value != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-
-    def expect_nat(self, what="a natural number"):
-        kind, value, pos = self.advance()
-        if kind != "int":
-            raise ParseError(f"expected {what}", pos)
-        return int(value)
+    def nat(self, what="a natural number"):
+        tok = self.toks[self.i]
+        if not tok[:1].isdecimal():   # the digits of \d, which `int` reads
+            raise self.error(f"expected {what}")
+        self.i += 1
+        return int(tok)
 
     def name(self, what):
-        """Parse a `var`; returns (its canonical name, offset of the ident)."""
-        kind, text, pos = self.advance()
-        if kind != "ident":
-            raise ParseError(f"expected {what}", pos)
-        if "_(" not in text and self.accept_sym("_"):   # not scanned whole
-            self.expect_sym("(")
-            subs = [self.expect_nat()]
-            while self.accept_sym(","):
-                subs.append(self.expect_nat())
-            self.expect_sym(")")
-            text = _subscripted(text, subs)
-        return text, pos
+        """Parse a `var`; returns its canonical name."""
+        toks, text = self.toks, self.toks[self.i]
+        if not text[:1].isalpha():
+            raise self.error(f"expected {what}")
+        self.i += 1
+        if toks[self.i] != "_" or "_(" in text:   # no subscript, or scanned whole
+            return text
+        self.i += 1
+        self.expect("(")
+        subs = [self.nat()]
+        while toks[self.i] == ",":
+            self.i += 1
+            subs.append(self.nat())
+        self.expect(")")
+        return _subscripted(text, subs)
 
-    def expect_end(self):
-        kind, value, pos = self.peek()
-        if kind != "end":   # a name scanned whole is reported by its ident
-            raise ParseError(f"unexpected {value.partition('_(')[0]!r}", pos)
+    def expect_end(self, value=None):
+        """`value`, once every token is read."""
+        if tok := self.toks[self.i]:   # a name scanned whole is reported by its ident
+            raise self.error(f"unexpected {tok.partition('_(')[0]!r}")
+        return value
 
 
 def _split_name(name):
@@ -535,9 +537,7 @@ def parse_poly(text, ring):
     Raises ParseError (with a position) on bad syntax or unknown variables.
     """
     cur = _Cursor(text)
-    f = _poly(cur, ring)
-    cur.expect_end()
-    return f
+    return cur.expect_end(_poly(cur, ring))
 
 
 def parse_polys(text, ring):
@@ -548,111 +548,112 @@ def parse_polys(text, ring):
     reported before a grammar error.
     """
     cur = _Cursor(text)
-    polys = _polys(cur, ring)
-    cur.expect_end()
-    return polys
+    return cur.expect_end(_polys(cur, ring))
 
 
 def _polys(cur, ring):
     """One `polys` read from `cur`."""
     polys = [_poly(cur, ring)]
-    while cur.accept_sym(","):
+    while cur.toks[cur.i] == ",":
+        cur.i += 1
         polys.append(_poly(cur, ring))
     return polys
 
 
 def _poly(cur, ring):
     """One `poly` read from `cur`, built in normal form."""
+    toks = cur.toks
     terms = {}
-    sign = -1 if cur.accept_sym("-") else 1
+    sign = toks[cur.i]   # "-" before a negated term, else any other token
+    cur.i += sign == "-"
     while True:
         mono, num, den = _term(cur, ring)
-        c = Fraction(sign * num, den)
+        c = Fraction(-num if sign == "-" else num, den)
         if mono in terms:
             c += terms[mono]
         if c:
             terms[mono] = c
         else:
             terms.pop(mono, None)
-        if cur.accept_sym("+"):
-            sign = 1
-        elif cur.accept_sym("-"):
-            sign = -1
-        else:
+        sign = toks[cur.i]
+        if sign != "+" and sign != "-":
             return Poly._trusted(ring, terms)
+        cur.i += 1
 
 
 def _term(cur, ring):
-    """One term as (monomial, numerator, denominator) of its unsigned coefficient."""
-    kind, _, pos = cur.peek()
+    """One `term` as (monomial, numerator, denominator) of its unsigned
+    coefficient: a `coeff`, if any, then its `factor`s."""
+    toks = cur.toks
     num = den = 1
     exps = {}
-    if kind == "int":
-        num, den = _coeff(cur)
-    elif kind == "ident":
-        _factor(cur, ring, exps)
-    else:
-        raise ParseError("expected a coefficient or a variable", pos)
-    while cur.accept_sym("*"):
-        _factor(cur, ring, exps)
-    _check_degree(sum(exps.values()))
-    return tuple(sorted(exps.items())), num, den
-
-
-def _coeff(cur):
-    num = cur.expect_nat()
-    if not cur.accept_sym("/"):
-        return num, 1
-    pos = cur.peek()[2]
-    den = cur.expect_nat("a denominator")
-    if den == 0:
-        raise ParseError("zero denominator", pos)
-    return num, den
-
-
-def _factor(cur, ring, exps):
-    name, pos = cur.name("a variable")
-    i = ring._by_name.get(name)
-    if i is None:
-        raise ParseError(f"unknown variable {name}", pos)
-    e = cur.expect_nat() if cur.accept_sym("^") else 1
-    if e:   # x^0 leaves no zero exponent in the monomial
-        exps[i] = exps.get(i, 0) + e
+    lead = toks[cur.i][:1]
+    if lead.isdecimal():
+        num = cur.nat()
+        if toks[cur.i] == "/":
+            cur.i += 1
+            den = cur.nat("a denominator")
+            if den == 0:
+                raise cur.error("zero denominator", cur.i - 1)
+        if toks[cur.i] != "*":
+            return (), num, den
+        cur.i += 1
+    elif not lead.isalpha():
+        raise cur.error("expected a coefficient or a variable")
+    while True:
+        at = cur.i
+        name = cur.name("a variable")
+        i = ring._by_name.get(name)
+        if i is None:
+            raise cur.error(f"unknown variable {name}", at)
+        e = 1
+        if toks[cur.i] == "^":
+            cur.i += 1
+            e = cur.nat()
+        if e:   # x^0 leaves no zero exponent in the monomial
+            exps[i] = exps.get(i, 0) + e
+        if toks[cur.i] != "*":
+            _check_degree(sum(exps.values()))
+            return tuple(sorted(exps.items())), num, den
+        cur.i += 1
 
 
 def parse_variables(text):
     """Parse a comma-separated variable list, expanding `..` ranges."""
     cur = _Cursor(text)
-    result = _variables(cur)
-    cur.expect_end()
-    return result
+    return cur.expect_end(_variables(cur))
 
 
 def _variables(cur):
     """One `vars` read from `cur`, its ranges expanded into Variables."""
+    toks = cur.toks
     result = []
     while True:
-        name, pos = cur.name("a variable name")
-        if cur.accept_sym(".."):
-            result.extend(_expand_range(name, cur.name("a variable name")[0], pos))
+        at = cur.i
+        name = cur.name("a variable name")
+        if toks[cur.i] == "..":
+            cur.i += 1
+            result.extend(_expand_range(cur, name, cur.name("a variable name"), at))
         else:
             result.append(Variable(*_split_name(name)))
-        if not cur.accept_sym(","):
+        if toks[cur.i] != ",":
             return result
+        cur.i += 1
 
 
-def _expand_range(name, name2, pos):
+def _expand_range(cur, name, name2, at):
+    """The variables of the range `name..name2`; an error is at token `at`."""
     (base, subs), (base2, subs2) = _split_name(name), _split_name(name2)
     if subs or subs2:
         if base != base2:
-            raise ParseError("subscript range needs matching base names", pos)
+            raise cur.error("subscript range needs matching base names", at)
         if len(subs) != len(subs2) or not subs:
-            raise ParseError("subscript range needs tuples of equal length", pos)
+            raise cur.error("subscript range needs tuples of equal length", at)
         if any(lo > hi for lo, hi in zip(subs, subs2)):
-            raise ParseError("empty subscript range", pos)
+            raise cur.error("empty subscript range", at)
         box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(subs, subs2)])
         first = Variable(base, next(box))   # checks the base the whole box shares
         return [first] + [Variable._trusted(base, t, None, _subscripted(base, t)) for t in box]
     if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
-        raise ParseError("letter range needs single letters in order", pos)
+        raise cur.error("letter range needs single letters in order", at)
     return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]

@@ -7,7 +7,8 @@ full subset scan, determinants from Poly products over the permutation
 sum and by cofactor expansion, chordality from
 induced-cycle enumeration, and colorings from exhaustive assignment.
 The regex readers of graph bodies and of script statements, which the
-token cursor replaced, are kept as references for it, and so is the
+token cursor replaced, are kept as references for it, and so are the
+cursor that built a (kind, text, offset) tuple per token and the
 earlier table layer of the series expansion (one table per exponent,
 relabelled per variable).  So are the earlier output paths of the mask
 kernels: covers decoded bit by bit and sorted as member lists, and the
@@ -26,6 +27,7 @@ from jetschemes import (Graph, HyperGraph, Ideal, Monomial, MonomialIdeal, Parse
 from jetschemes.cli import (_COMMANDS, _NAT_COMMANDS, Session, _run_command, _text_lines,
                             emit_json, to_record)
 from jetschemes.monomial import _jet_supports
+from jetschemes.poly import _Cursor
 
 
 # --- dense-exponent polynomial arithmetic -----------------------------------
@@ -263,6 +265,39 @@ def parse_graph_text_by_regex(text):
     vertices = [Variable(name) for name in names]
     by_name = {v.name: v for v in vertices}
     return Graph(vertices, [(by_name[u], by_name[w]) for u, w in edges])
+
+
+# --- tokens ------------------------------------------------------------------
+
+_NAT = "(?:0|[1-9][0-9]*)"
+_TUPLE_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_\({_NAT}(?:,{_NAT})*\))?)"
+    r"|(?P<sym>\.\.|[-+*/^_(),=\[\]])|(?P<bad>\S))")
+
+
+class TupleCursor(_Cursor):
+    """The token cursor before tokens were strings: one `finditer` over the
+    span, whose `bad` group stops the scan at the first character no token
+    takes, and a (kind, text, offset) tuple per token, then ("end", "", end).
+    It serves the library's grammar rules through `toks`, `i` and `error`,
+    and an error's offset is read off its token's tuple."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, text, start=0, end=None):
+        end = len(text) if end is None else end
+        self.tokens = tokens = []
+        for m in _TUPLE_TOKEN_RE.finditer(text, start, end):   # a match skips the spaces before it
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            tokens.append((kind, m[kind], m.start(kind)))
+        tokens.append(("end", "", end))
+        self.toks = [text for _, text, _ in tokens]
+        self.i = 0
+
+    def error(self, message, i=None):
+        return ParseError(message, self.tokens[self.i if i is None else i][2])
 
 
 # --- script statements -------------------------------------------------------

@@ -28,6 +28,15 @@ def test_is_monomial_ideal(xyz_ring, xyz_ideal):
     assert is_monomial_ideal(Ideal(xyz_ring, []))
 
 
+def test_monomial_ideal_brings_raw_generators_into_normal_form(xyz_ring):
+    I = MonomialIdeal(xyz_ring, [((1, 1), (0, 1)), ((0, 1), (1, 1))])
+    assert I.generators == (((0, 1), (1, 1)),) and str(I) == "ideal(x*y)"
+    J = MonomialIdeal(xyz_ring, [((2, 1), (0, 0)), ((0, 2), (0, 1)), ((2, 2),)])
+    assert J.generators == (((2, 1),), ((0, 3),)) and not J.squarefree
+    assert_normal_form(I)
+    assert_normal_form(J)
+
+
 def test_minimalize_divisibility(xyz_ring):
     x = Monomial({0: 1})
     xy = Monomial({0: 1, 1: 1})

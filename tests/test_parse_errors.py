@@ -14,12 +14,20 @@ start.  An ideal body is a polynomial list, `polys := poly { ',' poly }`.
 A graph body, `graph := [ 'vertices' vars ] { ',' | var '-' var }`, and a
 ring body report their token errors at their token, and a bad or repeated
 name, an undeclared vertex or an empty graph at the body's first token.
+
+The cursor's tokens are strings, and an error's offset is recovered from
+its token index; seeded one-character edits of these rows and of generated
+scripts check both, and the first error, against the tuple cursor of
+`oracles`, which read each token's offset off its own match.
 """
+
+import random
 
 import pytest
 
-from jetschemes import ParseError, PolyRing, parse_poly, parse_variables
+from jetschemes import ParseError, PolyRing, cli, graphs, parse_poly, parse_variables, poly
 from jetschemes.cli import run_script
+from oracles import TupleCursor, random_poly
 
 POLY_ERRORS = [
     ("x + $", "unexpected character '$'", 4),
@@ -36,6 +44,9 @@ POLY_ERRORS = [
     ("x_(01,2", "expected ')'", 7),
     ("x_(1,2)^", "expected a natural number", 8),
     ("x..", "unexpected '..'", 1),
+    ("x...y", "unexpected character '.'", 3),
+    ("x....y", "unexpected '..'", 1),
+    ("x²", "unexpected character '²'", 1),
     ("x + * y", "expected a coefficient or a variable", 4),
     ("", "expected a coefficient or a variable", 0),
     ("-", "expected a coefficient or a variable", 1),
@@ -113,6 +124,11 @@ SCRIPT_ERRORS = [
     ("ring R = [x]; ideal I = ;", "expected a coefficient or a variable", 24),
     ("foo$ I;", "unexpected character '$'", 3),
     ("ring[x];", "malformed ring statement", 0),
+    # a bad character is the last dot of an odd run, so "..." is ".." and a bad "."
+    ("ring R = [a...c];", "unexpected character '.'", 13),
+    ("ring R = [a....c];", "expected a variable name", 13),
+    ("ring R = [x];.x;", "unexpected character '.'", 13),
+    ("ring R = [x]; ideal I = x²;", "unexpected character '²'", 25),
 ]
 
 
@@ -130,3 +146,110 @@ def test_parse_error_message_and_offset(grammar, text, message, pos):
     with pytest.raises(ParseError) as err:
         PARSERS[grammar](text)
     assert (err.value.message, err.value.pos) == (message, pos)
+
+
+def test_unicode_digits_read_as_ints():
+    # \d and the cursor's kind test agree on a digit outside ASCII, as `int` does
+    assert parse_poly("x^٣", _RING) == parse_poly("x^3", _RING)
+    assert run_script("ring R = [x]; ideal I = ٣*x;") == "[1] ring R = QQ[x]\n[2] ideal I = ideal(3*x)"
+
+
+# --- one-character edits against the tuple cursor ---------------------------
+
+EDIT_ALPHABET = (".", "..", "$", ";", "\n", "é", "٣", "²", " ", ",", "-", "+", "*", "^",
+                 "_", "(", ")", "[", "]", "=", "/", "0", "1", "x", "y", "a")
+
+
+def _edit(rng, text):
+    """`text` with one character replaced, inserted or deleted, at a seeded place."""
+    at = rng.randrange(len(text) + 1)
+    op = rng.choice(("replace", "insert", "delete")) if at < len(text) else "insert"
+    if op == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(EDIT_ALPHABET) + text[at + (op == "replace"):]
+
+
+def _generated_script(rng):
+    """A seeded script: a ring, an ideal of random polynomials, then some of
+    the other statement kinds in a random order."""
+    ring_text = rng.choice(("x,y,z", "a..d", "x_(1,1)..x_(2,2)", "x, y_(1)..y_(3)"))
+    ring = PolyRing(parse_variables(ring_text))
+    polys = ", ".join(str(random_poly(rng, ring, 3, 3)) for _ in range(rng.randint(1, 3)))
+    rest = ["ideal J = jets 2 I", "jetsradical 1 I", "graph G = vertices a..c\na-b, b-c",
+            "graph H = graphjets 1 G", "matrix M = generic(R,2,2)", "minors 1 M", "covers G"]
+    rest = rng.sample(rest, rng.randint(1, len(rest)))
+    return ";\n".join([f"ring R = [{ring_text}]", f"ideal I = {polys}"] + rest) + ";"
+
+
+def _spans(grammar, text):
+    """The spans the grammar reads one cursor over: the statements of a script."""
+    if grammar != "script":
+        return [(0, len(text))]
+    try:
+        return cli._split_statements(text)
+    except ParseError:
+        return []
+
+
+def _read_statements(text):
+    """Each statement of a script read and defined, with no command run."""
+    session = cli.Session()
+    for start, end in cli._split_statements(text):
+        cli._exec_statement(text, start, end, session)
+
+
+def _outcome(cursor, make):
+    try:
+        return make(cursor)
+    except ParseError as e:
+        return e.message, e.pos
+
+
+def _assert_same_tokens(text, start, end):
+    """The span's tokens are the oracle's texts, of the kind their first
+    character says, and each token's offset is the one the oracle kept."""
+    want = _outcome(TupleCursor, lambda cursor: cursor(text, start, end))
+    got = _outcome(poly._Cursor, lambda cursor: cursor(text, start, end))
+    if isinstance(want, tuple):   # a bad character
+        assert got == want, text
+        return
+    assert got.toks == want.toks, text
+    for kind, tok, pos in want.tokens:
+        lead = tok[:1]
+        assert kind == ("int" if lead.isdecimal() else "ident" if lead.isalpha()
+                        else "sym" if tok else "end")
+    assert [got.error("", i).pos for i in range(len(got.toks))] == [
+        pos for _, _, pos in want.tokens], text
+
+
+def _first_error(monkeypatch, cursor, read, text):
+    for module in (poly, graphs, cli):
+        monkeypatch.setattr(module, "_Cursor", cursor)
+    try:
+        read(text)
+    except ParseError as e:
+        return e.message, e.pos
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+READERS = {"poly": lambda text: parse_poly(text, _RING),
+           "variables": parse_variables,
+           "script": _read_statements}
+
+
+def test_one_character_edits_read_as_by_the_tuple_cursor(monkeypatch):
+    monkeypatch.setattr(cli, "_run_command", lambda cmd, nat, name, session: None)
+    rng = random.Random(20261020)
+    texts = [(grammar, text) for grammar, text, _, _ in ROWS]
+    texts += [("script", _generated_script(rng)) for _ in range(40)]
+    for _ in range(4000):
+        grammar, text = rng.choice(texts)
+        text = _edit(rng, text)
+        for start, end in _spans(grammar, text):
+            _assert_same_tokens(text, start, end)
+        read = READERS[grammar]
+        with monkeypatch.context() as patched:
+            want = _first_error(patched, TupleCursor, read, text)
+        assert _first_error(monkeypatch, poly._Cursor, read, text) == want, text

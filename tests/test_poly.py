@@ -104,6 +104,27 @@ def test_monomials_outside_the_ring_are_refused(xyz_ring):
     assert str(Poly(xyz_ring, {((0, 1), (2, 2)): 1, (): -1})) == "x*z^2-1"
 
 
+def test_validating_constructor_brings_raw_keys_into_normal_form():
+    ring = PolyRing(parse_variables("x,y"))
+    swapped = Poly(ring, {((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): 1})
+    assert str(swapped) == "2*x*y" and swapped == parse_poly("2*x*y", ring)
+    assert str(Poly(ring, {((0, 0),): 3})) == "3" and Poly(ring, {((0, 0),): 3}) == 3 * ring.one()
+    assert Poly(ring, [(((0, 1), (0, 2)), 1)]) == parse_poly("x^3", ring)
+    assert Poly(ring, {((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): -1}).is_zero()
+    for p in (swapped, Poly(ring, {((0, 0), (1, 2)): 3})):
+        assert_normal_form(p)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(ring, {((0, -1),): 1})
+
+
+def test_scalar_products_keep_normal_form(xyz_ring):
+    p = parse_poly("2*x*y-1/3*z^2+5", xyz_ring)
+    for q in (p * Fraction(3, 2), 3 * p, p * -1, p * 0):
+        assert_normal_form(q)
+    assert p * Fraction(3, 2) == parse_poly("3*x*y-1/2*z^2+15/2", xyz_ring)
+    assert (p * 0)._terms == {}
+
+
 def test_variable_base_may_not_end_in_digit():
     with pytest.raises(ValueError, match="digit"):
         Variable("x1")
