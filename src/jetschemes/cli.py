@@ -108,9 +108,10 @@ def _as_monomial_ideal(value, name):
 
 def _command(cur, session):
     """Read and run the `command` ending a statement: (echo, verbatim as "jets 007 I", result)."""
-    shape = ("ident", "int", "ident") if cur.toks[cur.i] in _NAT_COMMANDS else ("ident", "ident")
-    texts = _read(cur, "command", cur.i, *shape, "")
-    nat = int(texts[1]) if len(texts) == 4 else None
+    at = cur.i
+    shape = ("ident", "int", "ident") if cur.toks[at] in _NAT_COMMANDS else ("ident", "ident")
+    texts = _read(cur, "command", at, *shape, "")
+    nat = cur.int_at(at + 1) if len(texts) == 4 else None
     return " ".join(texts[:-1]), _run_command(texts[0], nat, texts[-2], session)
 
 
@@ -144,14 +145,14 @@ def to_record(result):
             generators = [monomial_str(result.ring, m) for m in result.generators]
         else:
             generators = [str(g) for g in result.generators]
-        return {"kind": "ideal", "ring": [v.name for v in result.ring.variables],
+        return {"kind": "ideal", "ring": list(result.ring.variables),
                 "generators": generators}
     if isinstance(result, Graph):
-        return {"kind": "graph", "vertices": [v.name for v in result.vertices],
-                "edges": [[u.name, v.name] for u, v in result.edge_pairs()]}
+        return {"kind": "graph", "vertices": list(result.vertices),
+                "edges": [list(pair) for pair in result.edge_pairs()]}
     if isinstance(result, _Groups):
         return {"kind": result.kind,
-                result.kind: [[v.name for v in group] for group in result.items]}
+                result.kind: [list(group) for group in result.items]}
     return {"kind": "bool" if isinstance(result, bool) else "number", "value": result}
 
 
@@ -210,7 +211,7 @@ def _exec_statement(text, start, end, session):
     if head == "matrix":
         texts = _read(cur, "matrix statement", 0, "matrix", "ident", "=", "generic", "(",
                       "ident", ",", "int", ",", "int", ")", "")
-        name, ring_name, rows, cols = texts[1], texts[5], int(texts[7]), int(texts[9])
+        name, ring_name, rows, cols = texts[1], texts[5], cur.int_at(7), cur.int_at(9)
         ring = session.lookup(ring_name, PolyRing, "a ring")
         matrix = generic_matrix(ring, rows, cols)
         session.define(name, matrix)

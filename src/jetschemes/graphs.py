@@ -25,8 +25,8 @@ _CHROMATIC_BOUND = 32   # the most vertices `chromatic_number` will search
 
 
 def _resolver(vertices):
-    """The lookup from a vertex, or its index, to its index; the vertices
-    must be distinct."""
+    """The lookup from a vertex, its name or its index to its index; the
+    vertices must be distinct."""
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise ValueError("duplicate vertex")
@@ -64,7 +64,7 @@ class Graph:
         for u, v in edges:
             i, j = resolve(u), resolve(v)
             if i == j:
-                raise ValueError(f"loop at vertex {self.vertices[i].name}")
+                raise ValueError(f"loop at vertex {self.vertices[i]}")
             pairs.add((i, j) if i < j else (j, i))
         self.edges = tuple(sorted(pairs))
         self.adj = _adjacency(len(self.vertices), self.edges)
@@ -88,8 +88,8 @@ class Graph:
                 and self.edges == other.edges)
 
     def __str__(self):
-        vs = ",".join(v.name for v in self.vertices)
-        es = ",".join(f"{u.name}-{v.name}" for u, v in self.edge_pairs())
+        vs = ",".join(self.vertices)
+        es = ",".join(u + "-" + v for u, v in self.edge_pairs())
         return f"vertices {vs}; edges {es}".rstrip()   # no space after an empty edge list
 
     def __repr__(self):
@@ -119,7 +119,7 @@ class HyperGraph:
                 and self.edges == other.edges)
 
     def __repr__(self):
-        es = ",".join("{" + ",".join(self.vertices[i].name for i in e) + "}"
+        es = ",".join("{" + ",".join(self.vertices[i] for i in e) + "}"
                       for e in self.edges)
         return f"HyperGraph({es})"
 
@@ -335,7 +335,7 @@ def _graph(cur):
     declared = toks[cur.i] == "vertices" and toks[cur.i + 1] != "-"
     cur.i += declared   # past the header's "vertices"
     vertices = _variables(cur) if declared else []
-    index = {v.name: i for i, v in enumerate(vertices)}
+    index = {v: i for i, v in enumerate(vertices)}
     edges = []
     while toks[cur.i]:
         if toks[cur.i] == ",":

@@ -58,14 +58,14 @@ def _jet_variables(variables, s):
     jet is refused."""
     if s < 0:
         raise ValueError("jet order must be a natural number")
-    for v in variables:
-        if v.jet_order is not None:
-            raise ValueError(f"{v.name} is already a jet variable; iterated jets are not supported")
+    parts = [v.partition("_(") for v in variables]   # as ("x", "_(", "1,2)") or ("x", "", "")
+    for v, (head, _, _) in zip(variables, parts):
+        if head[-1].isdigit():   # a jet order ends the part before the subscripts
+            raise ValueError(f"{v} is already a jet variable; iterated jets are not supported")
     # the given variables were checked, so their jets are too; each jet name
-    # is the base name with the order spliced in after the base ("x_(1)" -> "x2_(1)")
-    return [Variable._trusted(v.base, v.subscripts, j,
-                              v.base + str(j) + v.name[len(v.base):])
-            for j in range(s + 1) for v in variables]
+    # is the base name with the order spliced in after it ("x_(1)" -> "x2_(1)")
+    return [str.__new__(Variable, base + order + paren + subs)
+            for order in map(str, range(s + 1)) for base, paren, subs in parts]
 
 
 def jet_ring(base, s):

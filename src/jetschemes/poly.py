@@ -17,9 +17,11 @@ every coefficient is stored with positive denominator in lowest terms.
 
 import itertools
 import re
+import sys
 from fractions import Fraction
 
 _WIDTH = 32   # bits of a field value in a term_key item; degrees stay below 2^_WIDTH
+_DIGITS = "0123456789"   # a jet order's digits end a variable's name, before its subscripts
 
 
 class ParseError(ValueError):
@@ -31,21 +33,18 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class Variable:
-    """A ring variable: base name, optional subscripts, optional jet order.
-
-    The printed name appends the jet order to the base ("x" at order 2 is
-    "x2") and then the subscripts ("x0_(1,1)").  Base names may not end in
-    a digit, otherwise "x12" could be either x at order 12 or x1 at order 2.
-    The name is set once, at construction, and takes no part in equality
-    or hashing; the parser scans a name so written as one token.  A
-    variable is immutable: assigning or deleting an attribute raises
-    `AttributeError`.
+class Variable(str):
+    """A ring variable: the str of its name, from a base name, optional
+    subscripts and an optional jet order ("x" at order 2 is "x2", and
+    "x0_(1,1)" is subscripted).  A base may not end in a digit, or "x12"
+    could be x at order 12 or x1 at order 2; so the fields are read back
+    from the name, and a variable equals, hashes and orders as its name:
+    `Variable("x") == "x"`.  The parser scans a name so written as one token.
     """
 
-    __slots__ = ("base", "subscripts", "jet_order", "name")
+    __slots__ = ()
 
-    def __init__(self, base, subscripts=(), jet_order=None):
+    def __new__(cls, base, subscripts=(), jet_order=None):
         if not (base[:1].isalpha() and base.isascii() and base.isalnum()):
             raise ValueError(f"invalid variable base name {base!r}")
         if base[-1].isdigit():
@@ -56,51 +55,28 @@ class Variable:
         if jet_order is not None and jet_order < 0:
             raise ValueError("jet order must be a natural")
         order = "" if jet_order is None else str(jet_order)
-        _set_base(self, base)
-        _set_subscripts(self, subs)
-        _set_jet_order(self, jet_order)
-        _set_name(self, _subscripted(base + order, subs))
+        return str.__new__(cls, _subscripted(base + order, subs))
 
-    @classmethod
-    def _trusted(cls, base, subscripts, jet_order, name):
-        """A variable on fields that pass the checks above, with its printed
-        name: `subscripts` is a tuple of naturals, and nothing is checked."""
-        v = object.__new__(cls)
-        _set_base(v, base)
-        _set_subscripts(v, subscripts)
-        _set_jet_order(v, jet_order)
-        _set_name(v, name)
-        return v
+    def __getnewargs__(self):
+        # pickling and copying rebuild through __new__, which checks the fields
+        return self.base, self.subscripts, self.jet_order
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r}")
+    @property
+    def base(self):
+        return self.partition("_(")[0].rstrip(_DIGITS)
 
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r}")
+    @property
+    def subscripts(self):
+        return _split_name(self)[1]
 
-    def __reduce__(self):
-        # rebuilt through __init__, since unpickling slots would assign them
-        return Variable, (self.base, self.subscripts, self.jet_order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.subscripts, self.jet_order)
-                == (other.base, other.subscripts, other.jet_order))
-
-    def __hash__(self):
-        return hash((self.base, self.subscripts, self.jet_order))
-
-    def __str__(self):
-        return self.name
+    @property
+    def jet_order(self):
+        """The run of digits ending the name before its subscripts, or None."""
+        digits = self.partition("_(")[0][len(self.base):]
+        return int(digits) if digits else None
 
     def __repr__(self):
-        return f"Variable({self.name!r})"
-
-
-# the slots' own setters, which Variable.__setattr__ does not reach
-_set_base, _set_subscripts, _set_jet_order, _set_name = (
-    getattr(Variable, field).__set__ for field in Variable.__slots__)
+        return f"Variable({str.__repr__(self)})"
 
 
 def _subscripted(text, subscripts):
@@ -115,21 +91,23 @@ class PolyRing:
 
     `blocks` is the tuple of the blocks' sizes, the runs of equal
     `Variable.jet_order` in list order: a plain ring is (n,), and a jet
-    ring (n,) * (s+1); an empty ring is (0,).  `_key` holds, per variable,
-    the `term_key` ints of its block's degree field and its own, at value 0.
+    ring (n,) * (s+1); an empty ring is (0,).  `_by_name` maps each variable
+    to its index.  `_key` holds, per variable, the `term_key` ints of its
+    block's degree field and its own, at value 0.
     """
 
-    __slots__ = ("variables", "blocks", "_names", "_by_name", "_key", "_hash")
+    __slots__ = ("variables", "blocks", "_by_name", "_key", "_hash")
 
     def __init__(self, variables):
         self.variables = tuple(variables)
         n = len(self.variables)
-        self.blocks = tuple(len(list(run)) for _, run in
-                            itertools.groupby(self.variables, lambda v: v.jet_order)) or (0,)
-        self._names = tuple(v.name for v in self.variables)
-        self._by_name = {name: i for i, name in enumerate(self._names)}
+        # runs of equal jet orders, each a head (name before "_(") less its base
+        heads = [v.partition("_(")[0] for v in self.variables]
+        orders = map(str.removeprefix, heads, map(str.rstrip, heads, itertools.repeat(_DIGITS)))
+        self.blocks = tuple([len(list(run)) for _, run in itertools.groupby(orders)]) or (0,)
+        self._by_name = {v: i for i, v in enumerate(self.variables)}
         if len(self._by_name) != n:
-            name = next(v for i, v in enumerate(self._names) if self._by_name[v] != i)
+            name = next(v for i, v in enumerate(self.variables) if self._by_name[v] != i)
             raise ValueError(f"duplicate variable {name}")
         # fields from the least significant: each block's variables, then its degree
         self._key = fields = []
@@ -138,16 +116,15 @@ class PolyRing:
             degree = (pos + size) << _WIDTH
             fields += [(degree, -(p << _WIDTH)) for p in range(pos, pos + size)]
             pos += size + 1
-        # a name determines its Variable, and the variables the blocks
-        self._hash = hash(self._names)
+        # a variable is its name, and the variables determine the blocks
+        self._hash = hash(self.variables)
 
     def index(self, v):
         """The index of a variable, given as a Variable or by its name."""
-        name = v.name if isinstance(v, Variable) else v
         try:
-            return self._by_name[name]
+            return self._by_name[v]
         except KeyError:
-            raise ValueError(f"{name} is not a variable of {self}") from None
+            raise ValueError(f"{v} is not a variable of {self}") from None
 
     def zero(self):
         return Poly(self, {})
@@ -178,7 +155,7 @@ class PolyRing:
         parts = []
         start = 0
         for size in self.blocks:
-            names = ",".join(v.name for v in self.variables[start:start + size])
+            names = ",".join(self.variables[start:start + size])
             parts.append(f"[{names}]")
             start += size
         return "QQ" + "".join(parts)
@@ -244,8 +221,8 @@ def term_key(ring, mono):
 def monomial_str(ring, mono):
     """Print factors in variable-list order, e.g. "y0*z0*x2" or "x^2*y";
     the monomial 1 prints as "1"."""
-    names = ring._names
-    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]) or "1"
+    names = ring.variables
+    return "*".join([names[i] if e == 1 else names[i] + f"^{e}" for i, e in mono]) or "1"
 
 
 class Poly:
@@ -377,7 +354,10 @@ class Poly:
         for m, c in self.items():
             num, den = c.numerator, c.denominator
             sign = "-" if num < 0 else "+"
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            try:
+                mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            except ValueError:   # more digits than `str` writes
+                raise ValueError(_too_long("cannot print a coefficient")) from None
             if not m:
                 out += (sign, mag)
             elif mag == "1":
@@ -499,7 +479,17 @@ class _Cursor:
         if not tok[:1].isdecimal():   # the digits of \d, which `int` reads
             raise self.error(f"expected {what}")
         self.i += 1
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:   # more digits than `int` reads
+            raise self.error(_too_long("integer"), self.i - 1) from None
+
+    def int_at(self, i):
+        """The value of int token `i`; past the digit limit, a ParseError at it."""
+        try:
+            return int(self.toks[i])
+        except ValueError:
+            raise self.error(_too_long("integer"), i) from None
 
     def name(self, what):
         """Parse a `var`; returns its canonical name."""
@@ -525,10 +515,18 @@ class _Cursor:
         return value
 
 
+def _too_long(what):
+    """The message for a number of more digits than Python converts."""
+    return f"{what} of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _split_name(name):
     """The base and subscripts of a canonical name: "x_(1,2)" gives ("x", (1, 2))."""
     base, paren, subs = name.partition("_(")
-    return base, tuple(map(int, subs[:-1].split(","))) if paren else ()
+    try:
+        return base, tuple(map(int, subs[:-1].split(","))) if paren else ()
+    except ValueError:   # a subscript of more digits than `int` reads
+        raise ValueError(_too_long("subscript")) from None
 
 
 def parse_poly(text, ring):
@@ -653,7 +651,7 @@ def _expand_range(cur, name, name2, at):
             raise cur.error("empty subscript range", at)
         box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(subs, subs2)])
         first = Variable(base, next(box))   # checks the base the whole box shares
-        return [first] + [Variable._trusted(base, t, None, _subscripted(base, t)) for t in box]
+        return [first] + [str.__new__(Variable, _subscripted(base, t)) for t in box]
     if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
         raise cur.error("letter range needs single letters in order", at)
     return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]

@@ -18,5 +18,5 @@ def xyz_ideal(xyz_ring):
 @pytest.fixture
 def demo_graph():
     vertices = [Variable(ch) for ch in "abcde"]
-    by_name = {v.name: v for v in vertices}
+    by_name = {str(v): v for v in vertices}
     return Graph(vertices, [(by_name[u], by_name[v]) for u, v in DEMO_EDGES])

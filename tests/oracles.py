@@ -101,7 +101,7 @@ def dense_poly_str(f):
     """The canonical text of f: terms largest first by `dense_term_key`,
     factors in variable-list order, coefficients as str(abs(Fraction))
     with the sign in front, "1*" left out, and "0" for no terms."""
-    names = [v.name for v in f.ring.variables]
+    names = [str(v) for v in f.ring.variables]
     out = []
     for m, c in sorted(f._terms.items(), key=lambda kv: dense_term_key(f.ring, kv[0]),
                        reverse=True):
@@ -263,7 +263,7 @@ def parse_graph_text_by_regex(text):
     if not names:
         raise ValueError("empty graph")
     vertices = [Variable(name) for name in names]
-    by_name = {v.name: v for v in vertices}
+    by_name = {str(v): v for v in vertices}
     return Graph(vertices, [(by_name[u], by_name[w]) for u, w in edges])
 
 
@@ -491,7 +491,7 @@ def goward_smith_jets_edges(G, s):
     a + b <= s, so the jets graph has exactly those edges.  Returned as a
     set of frozen name pairs, the order-a copy of u being named u<a>.
     """
-    return {frozenset((f"{u.name}{a}", f"{v.name}{b}"))
+    return {frozenset((f"{u}{a}", f"{v}{b}"))
             for u, v in G.edge_pairs()
             for a in range(s + 1) for b in range(s + 1 - a)}
 

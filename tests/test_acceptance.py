@@ -48,7 +48,7 @@ def test_criterion_2_jets_radical(xyz_ideal):
 
 def test_criterion_3_minimal_primes(xyz_ideal):
     primes = minimal_primes_squarefree(jets_radical(2, xyz_ideal))
-    got = [{v.name for v in p} for p in primes]
+    got = [{str(v) for v in p} for p in primes]
     assert len(got) == len(XYZ_JET2_MINIMAL_PRIMES) == 10
     for expected in XYZ_JET2_MINIMAL_PRIMES:
         assert expected in got
@@ -58,12 +58,12 @@ def test_criterion_3_minimal_primes(xyz_ideal):
 
 def test_criterion_4_graph_jets_edges(demo_graph):
     J1 = jets_graph(1, demo_graph)
-    got1 = [{u.name, v.name} for u, v in J1.edge_pairs()]
+    got1 = [{str(u), str(v)} for u, v in J1.edge_pairs()]
     assert len(got1) == 21
     for edge in DEMO_J1_EDGES:
         assert edge in got1
     J2 = jets_graph(2, demo_graph)
-    got2 = [{u.name, v.name} for u, v in J2.edge_pairs()]
+    got2 = [{str(u), str(v)} for u, v in J2.edge_pairs()]
     assert len(got2) == 42
     for edge in DEMO_J2_EDGES:
         assert edge in got2
@@ -87,11 +87,11 @@ def test_criterion_6_cochordality(demo_graph):
 
 
 def test_criterion_7_vertex_covers(demo_graph):
-    covers = [{v.name for v in c} for c in minimal_vertex_covers(demo_graph)]
+    covers = [{str(v) for v in c} for c in minimal_vertex_covers(demo_graph)]
     assert len(covers) == 3
     for expected in DEMO_COVERS:
         assert expected in covers
-    jcovers = [{v.name for v in c}
+    jcovers = [{str(v) for v in c}
                for c in minimal_vertex_covers(jets_graph(2, demo_graph))]
     assert len(jcovers) == 8
     for expected in DEMO_J2_COVERS:
@@ -105,7 +105,7 @@ def test_criterion_8_determinantal_examples():
     assert [[str(e) for e in row] for row in M.entries] == GENERIC_3X3_ROWS
     j1 = jets_ideal(1, minors(1, M))
     assert {str(g) for g in j1.generators} == \
-        {v.name for v in j1.ring.variables}
+        {str(v) for v in j1.ring.variables}
     assert len(j1.generators) == 18
     assert len(jets_ideal(1, minors(3, M)).generators) == 2
     assert len(jets_ideal(1, minors(2, M)).generators) == 18
@@ -158,9 +158,9 @@ def test_criterion_10_invariant_suite(xyz_ring):
     # cover-prime duality on random graphs
     for _ in range(50):
         G = random_graph(rng, rng.randint(1, 6))
-        covers = {frozenset(v.name for v in c)
+        covers = {frozenset(str(v) for v in c)
                   for c in minimal_vertex_covers(G)}
-        primes = {frozenset(v.name for v in p)
+        primes = {frozenset(str(v) for v in p)
                   for p in minimal_primes_squarefree(edge_ideal(G))}
         assert covers == primes
 

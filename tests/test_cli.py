@@ -218,6 +218,29 @@ def test_main_iterated_graph_jets_exit_1(tmp_path, capsys):
                                        "iterated jets are not supported\n")
 
 
+@pytest.mark.parametrize("script, code, err", [
+    ("ring R = [x]; ideal I = " + "7" * 5000 + "*x;", 2,
+     "parse error: line 1, column 25: integer of more than 4300 digits"),
+    ("ring R = [x]; ideal I = x; jets " + "1" * 4400 + " I;", 2,
+     "parse error: line 1, column 33: integer of more than 4300 digits"),
+    ("ring R = [x,y]; matrix M = generic(R,1," + "2" * 4301 + ");", 2,
+     "parse error: line 1, column 40: integer of more than 4300 digits"),
+    ("ring R = [x_(" + "3" * 4400 + ")];", 2,
+     "parse error: line 1, column 11: subscript of more than 4300 digits"),
+    ("ring R = [x]; ideal I = " + "9" * 4300 + "*x^2; jets 1 I;", 1,
+     "error: cannot print a coefficient of more than 4300 digits"),
+])
+def test_main_integers_past_the_digit_limit(tmp_path, capsys, script, code, err):
+    # Python converts at most sys.get_int_max_str_digits() digits; a token past
+    # that is a parse error at it, and a coefficient past it cannot be printed
+    assert sys.get_int_max_str_digits() == 4300
+    path = tmp_path / "long.txt"
+    path.write_text(script, encoding="utf-8")
+    assert main(["--script", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err + "\n"
+
+
 def test_main_missing_file_exit_1(tmp_path, capsys):
     assert main(["--script", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -317,7 +317,7 @@ def test_jets_radical_matches_prime_intersection_oracle():
 def test_minimal_primes_of_xyz_jets(xyz_ideal):
     rad = jets_radical(2, xyz_ideal)
     primes = minimal_primes_squarefree(rad)
-    named = [{v.name for v in p} for p in primes]
+    named = [{str(v) for v in p} for p in primes]
     assert len(named) == 10
     for expected in XYZ_JET2_MINIMAL_PRIMES:
         assert expected in named
@@ -326,7 +326,7 @@ def test_minimal_primes_of_xyz_jets(xyz_ideal):
 def test_minimal_primes_principal(xyz_ring):
     I = MonomialIdeal(xyz_ring, [Monomial({0: 1})])
     primes = minimal_primes_squarefree(I)
-    assert [[v.name for v in p] for p in primes] == [["x"]]
+    assert [[str(v) for v in p] for p in primes] == [["x"]]
 
 
 def test_minimal_primes_require_squarefree(xyz_ring):

@@ -4,7 +4,6 @@ import itertools
 import pickle
 import random
 import re
-import types
 from fractions import Fraction
 
 import pytest
@@ -26,9 +25,9 @@ def test_plain_ring_three_variables(xyz_ring):
 def test_plain_ring_subscripted_box():
     ring = PolyRing(parse_variables("x_(1,1)..x_(3,3)"))
     assert len(ring.variables) == 9
-    assert ring.variables[0].name == "x_(1,1)"
-    assert ring.variables[1].name == "x_(1,2)"
-    assert ring.variables[-1].name == "x_(3,3)"
+    assert str(ring.variables[0]) == "x_(1,1)"
+    assert str(ring.variables[1]) == "x_(1,2)"
+    assert str(ring.variables[-1]) == "x_(3,3)"
 
 
 @pytest.mark.parametrize("text", ["x_(1,1)..x_(3,3)", "x_(0)..x_(12)", "ab_(2,0,5)..ab_(3,2,6)",
@@ -38,7 +37,7 @@ def test_box_ranges_match_the_validating_constructor(text):
     variables = parse_variables(text)
     for v in variables:
         w = Variable(v.base, v.subscripts)
-        assert v == w and hash(v) == hash(w) and v.name == w.name, (v, w)
+        assert v == w and hash(v) == hash(w) and str(v) == str(w), (v, w)
         assert type(v.subscripts) is tuple and all(type(t) is int for t in v.subscripts)
     assert len(set(variables)) == len(variables)
 
@@ -54,7 +53,7 @@ def test_ranges_still_check_their_bases(text, message):
 
 def test_letter_range():
     vs = parse_variables("a..e")
-    assert [v.name for v in vs] == ["a", "b", "c", "d", "e"]
+    assert [str(v) for v in vs] == ["a", "b", "c", "d", "e"]
 
 
 def test_plain_ring_duplicate_rejected():
@@ -244,8 +243,8 @@ def test_canonical_order_is_stable_under_input_permutation(xyz_ring):
 
 
 def test_jet_variable_names():
-    assert Variable("x", (), 2).name == "x2"
-    assert Variable("x", (1, 1), 0).name == "x0_(1,1)"
+    assert str(Variable("x", (), 2)) == "x2"
+    assert str(Variable("x", (1, 1), 0)) == "x0_(1,1)"
 
 
 def test_subscripted_parse_roundtrip():
@@ -272,8 +271,8 @@ def _subscript_tokens(rng, subs):
 def _name_tokens(rng, v):
     """A variable's name as one compact token, or spelled out token by token."""
     if not v.subscripts or rng.random() < 0.4:
-        return [v.name]
-    return [v.name.partition("_(")[0]] + _subscript_tokens(rng, v.subscripts)
+        return [str(v)]
+    return [str(v).partition("_(")[0]] + _subscript_tokens(rng, v.subscripts)
 
 
 def _random_poly_text(rng, ring):
@@ -360,7 +359,7 @@ def test_spaced_or_padded_variable_ranges_equal_their_compact_forms():
                    + ["..", "x"] + _subscript_tokens(rng, hi))
         variables = parse_variables(compact)
         assert parse_variables(_spaced(rng, spelled)) == variables
-        assert [v.name for v in variables][:4] == ["a", "b", "c", "q"]
+        assert [str(v) for v in variables][:4] == ["a", "b", "c", "q"]
 
 
 def test_is_homogeneous(xyz_ring):
@@ -552,32 +551,55 @@ def test_poly_str_matches_the_dense_printer():
     assert checked >= 500
 
 
-def test_variable_name_is_cached_without_changing_identity():
+def test_variable_is_its_name():
     v = Variable("x", (1, 2), 3)
-    # a plain slot, set at construction: no property computes it on read
-    assert "name" in Variable.__slots__ and not hasattr(v, "__dict__")
-    assert isinstance(Variable.__dict__["name"], types.MemberDescriptorType)
-    assert v.name == "x3_(1,2)" and v.name is v.name
+    assert isinstance(v, str) and str(v) == "x3_(1,2)" and type(str(v)) is str
+    assert Variable.__slots__ == () and not hasattr(v, "__dict__")
+    assert (v.base, v.subscripts, v.jet_order) == ("x", (1, 2), 3)
     w = Variable("x", (1, 2), 3)
     assert v == w and hash(v) == hash(w) and repr(v) == "Variable('x3_(1,2)')"
-    assert v != Variable("x", (1, 2)) and Variable("x", (1, 2)).name == "x_(1,2)"
+    assert v != Variable("x", (1, 2)) and str(Variable("x", (1, 2))) == "x_(1,2)"
     assert Variable("x", ("1", "02")) == Variable("x", (1, 2))
-    assert Variable("x", ("1", "02")).name == "x_(1,2)" and Variable("ab").name == "ab"
-    # the name is no field of == or hash, and no argument
+    assert str(Variable("x", ("1", "02"))) == "x_(1,2)" and str(Variable("ab")) == "ab"
+    # a variable equals, hashes and orders as its name
+    assert Variable("x") == "x" and hash(Variable("x")) == hash("x")
+    assert sorted([Variable("y"), Variable("x", (), 1), Variable("x")]) == ["x", "x1", "y"]
     assert list(inspect.signature(Variable).parameters) == ["base", "subscripts", "jet_order"]
-    object.__setattr__(w, "name", "other")
-    assert v == w and hash(v) == hash(w)
     with pytest.raises(TypeError):
         Variable("x", (), None, "x")
-    # immutable: no field can be assigned or deleted, so the hash stays
+    # immutable: no field can be assigned or deleted, and nothing else set
     h = hash(v)
-    with pytest.raises(AttributeError):
-        v.base = "y"
-    with pytest.raises(AttributeError):
-        del v.name
-    assert v.base == "x" and v.name == "x3_(1,2)" and hash(v) == h
-    for u in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
-        assert u == v and u.name == v.name and hash(u) == h
+    for attr in ("base", "subscripts", "jet_order", "name"):
+        with pytest.raises(AttributeError):
+            setattr(v, attr, "y")
+        with pytest.raises(AttributeError):
+            delattr(v, attr)
+    assert v.base == "x" and str(v) == "x3_(1,2)" and hash(v) == h
+    # pickling and copying rebuild through the checks of the constructor
+    for u in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+        assert type(u) is Variable and u == v and hash(u) == h
+        assert (u.base, u.subscripts, u.jet_order) == (v.base, v.subscripts, v.jet_order)
+
+
+def test_variable_fields_round_trip_through_the_name():
+    rng = random.Random(2301)
+    bases = ["x", "ab", "a1b", "Q", "z9z", "xyz"]
+    variables = []
+    for _ in range(300):
+        subs = tuple(rng.choice([0, 0, 1, 7, 10, 12, 100, 2026])
+                     for _ in range(rng.choice([0, 0, 1, 2, 3])))
+        order = rng.choice([None, rng.randint(0, 12)])
+        v = Variable(rng.choice(bases), subs, order)
+        assert type(v.subscripts) is tuple and all(type(t) is int for t in v.subscripts)
+        assert v.subscripts == subs and v.jet_order == order
+        variables.append(v)
+    plain = [v for v in dict.fromkeys(variables) if v.jet_order is None]
+    for s in (0, 1, 12):
+        variables += jet_ring(PolyRing(plain), s).ring.variables
+    for v in variables:
+        assert Variable(v.base, v.subscripts, v.jet_order) == v, v
+    assert {v.base for v in variables} == set(bases)
+    assert {v.jet_order for v in variables} == {None, *range(13)}
 
 
 @pytest.mark.parametrize("args, message", [
