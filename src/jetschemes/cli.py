@@ -38,19 +38,6 @@ _BINDABLE = {"ring": (), "ideal": ("jets", "jetsradical", "minors"),
 _IDEALS = (Ideal, MonomialIdeal)
 
 
-class _Groups:
-    """Minimal primes or minimal vertex covers, as groups of variables."""
-
-    def __init__(self, kind, items):
-        self.kind = kind   # "primes" or "covers"
-        self.items = items
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.items) == (other.kind, other.items)
-
-
 class Session:
     """Named bindings built up by a script; names bind exactly once."""
 
@@ -116,7 +103,9 @@ def _command(cur, session):
 
 
 def _run_command(cmd, nat, name, session):
-    """The result of command `cmd`, with its natural argument `nat`, on `name`."""
+    """The result of command `cmd`, with its natural argument `nat`, on `name`;
+    minimal primes and covers are the pair ("primes" or "covers", groups of
+    variables)."""
     if cmd == "minors":
         return minors(nat, session.lookup(name, GenericMatrix, "a matrix"))
     if cmd in ("jets", "jetsradical", "minimalprimes"):
@@ -125,14 +114,14 @@ def _run_command(cmd, nat, name, session):
             return jets_ideal(nat, I.to_ideal() if isinstance(I, MonomialIdeal) else I)
         if cmd == "jetsradical":
             return jets_radical(nat, I)
-        return _Groups("primes", minimal_primes_squarefree(_as_monomial_ideal(I, name)))
+        return "primes", minimal_primes_squarefree(_as_monomial_ideal(I, name))
     G = session.lookup(name, Graph, "a graph")
     if cmd == "graphjets":
         return jets_graph(nat, G)
     if cmd == "chromatic":
         return chromatic_number(G)
     if cmd == "covers":
-        return _Groups("covers", minimal_vertex_covers(G))
+        return "covers", minimal_vertex_covers(G)
     if cmd == "complement":
         return complement_graph(G)
     return is_chordal(G)
@@ -150,9 +139,9 @@ def to_record(result):
     if isinstance(result, Graph):
         return {"kind": "graph", "vertices": list(result.vertices),
                 "edges": [list(pair) for pair in result.edge_pairs()]}
-    if isinstance(result, _Groups):
-        return {"kind": result.kind,
-                result.kind: [list(group) for group in result.items]}
+    if isinstance(result, tuple):   # ("primes" or "covers", groups)
+        kind, groups = result
+        return {"kind": kind, kind: [list(group) for group in groups]}
     return {"kind": "bool" if isinstance(result, bool) else "number", "value": result}
 
 

@@ -25,8 +25,8 @@ _CHROMATIC_BOUND = 32   # the most vertices `chromatic_number` will search
 
 
 def _resolver(vertices):
-    """The lookup from a vertex, its name or its index to its index; the
-    vertices must be distinct."""
+    """The lookup from a vertex, given by its name or its index, to its
+    index; the vertices must be distinct."""
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise ValueError("duplicate vertex")
@@ -53,7 +53,7 @@ def _adjacency(n, edges):
 
 
 class Graph:
-    """A finite simple graph; vertices are Variables, edges unordered pairs."""
+    """A finite simple graph; vertices are variables, edges unordered pairs."""
 
     __slots__ = ("vertices", "edges", "adj")
 
@@ -80,7 +80,7 @@ class Graph:
         return G
 
     def edge_pairs(self):
-        """Edges as pairs of Variables, in canonical order."""
+        """Edges as pairs of vertices, in canonical order."""
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edges]
 
     def __eq__(self, other):

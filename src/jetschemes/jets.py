@@ -22,7 +22,7 @@ equal, so the t^0..t^s coefficients are those of the full expansion.
 
 from math import comb
 
-from .poly import Ideal, Poly, PolyRing, Variable
+from .poly import Ideal, Poly, PolyRing
 
 
 class JetRing:
@@ -64,7 +64,7 @@ def _jet_variables(variables, s):
             raise ValueError(f"{v} is already a jet variable; iterated jets are not supported")
     # the given variables were checked, so their jets are too; each jet name
     # is the base name with the order spliced in after it ("x_(1)" -> "x2_(1)")
-    return [str.__new__(Variable, base + order + paren + subs)
+    return [base + order + paren + subs
             for order in map(str, range(s + 1)) for base, paren, subs in parts]
 
 

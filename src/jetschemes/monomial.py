@@ -225,7 +225,7 @@ def minimal_primes_squarefree(I):
 
     Each minimal prime is generated by the variables of a minimal vertex
     cover of the hypergraph of generator supports.  Returned as tuples of
-    Variables, ordered by size and then by variable indices.
+    variables, ordered by size and then by variable indices.
     """
     if not I.squarefree:
         raise ValueError("minimal primes require a squarefree monomial ideal")

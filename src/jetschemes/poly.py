@@ -1,15 +1,16 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A ring is an ordered list of named variables over QQ, partitioned into
-consecutive blocks, the runs of variables of one jet order.  A plain ring
-is a single block; the order-s jet ring of n variables has s+1 blocks of
-n, one per jet order.  A monomial is the tuple of its (variable index,
-exponent) pairs, sorted by index, with positive exponents; () is 1, and
-`Monomial` builds one from any exponent map.  Terms are kept in graded
-reverse lexicographic order, comparing later blocks first, so a tower
-like QQ[x0,y0,z0][x1,y1,z1] prints with the outer (higher order)
-variables dominating.  `term_key` packs each nonzero field of the order
-into one int, exact while every monomial's total degree is below 2^32.
+A ring is an ordered list of variables over QQ, each a plain str, its
+name, partitioned into consecutive blocks, the runs of variables of one
+jet order.  A plain ring is a single block; the order-s jet ring of n
+variables has s+1 blocks of n, one per jet order.  A monomial is the
+tuple of its (variable index, exponent) pairs, sorted by index, with
+positive exponents; () is 1, and `Monomial` builds one from any
+exponent map.  Terms are kept in graded reverse lexicographic order,
+comparing later blocks first, so a tower like QQ[x0,y0,z0][x1,y1,z1]
+prints with the outer (higher order) variables dominating.  `term_key`
+packs each nonzero field of the order into one int, exact while every
+monomial's total degree is below 2^32.
 
 Coefficients are `fractions.Fraction`, so all arithmetic is exact and
 every coefficient is stored with positive denominator in lowest terms.
@@ -33,50 +34,23 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class Variable(str):
-    """A ring variable: the str of its name, from a base name, optional
-    subscripts and an optional jet order ("x" at order 2 is "x2", and
-    "x0_(1,1)" is subscripted).  A base may not end in a digit, or "x12"
-    could be x at order 12 or x1 at order 2; so the fields are read back
-    from the name, and a variable equals, hashes and orders as its name:
-    `Variable("x") == "x"`.  The parser scans a name so written as one token.
+def Variable(base, subscripts=(), jet_order=None):
+    """The name of a ring variable, a plain str, from a base name, optional
+    subscripts and an optional jet order: "x" at order 2 is "x2", and
+    "x0_(1,1)" is subscripted.  A base may not end in a digit, or "x12"
+    could be x at order 12 or x1 at order 2, so a name determines its
+    parts.  The parser scans a name so written as one token.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, base, subscripts=(), jet_order=None):
-        if not (base[:1].isalpha() and base.isascii() and base.isalnum()):
-            raise ValueError(f"invalid variable base name {base!r}")
-        if base[-1].isdigit():
-            raise ValueError(f"variable base {base!r} ends in a digit")
-        subs = tuple(map(int, subscripts))
-        if subs and min(subs) < 0:
-            raise ValueError("subscripts must be naturals")
-        if jet_order is not None and jet_order < 0:
-            raise ValueError("jet order must be a natural")
-        order = "" if jet_order is None else str(jet_order)
-        return str.__new__(cls, _subscripted(base + order, subs))
-
-    def __getnewargs__(self):
-        # pickling and copying rebuild through __new__, which checks the fields
-        return self.base, self.subscripts, self.jet_order
-
-    @property
-    def base(self):
-        return self.partition("_(")[0].rstrip(_DIGITS)
-
-    @property
-    def subscripts(self):
-        return _split_name(self)[1]
-
-    @property
-    def jet_order(self):
-        """The run of digits ending the name before its subscripts, or None."""
-        digits = self.partition("_(")[0][len(self.base):]
-        return int(digits) if digits else None
-
-    def __repr__(self):
-        return f"Variable({str.__repr__(self)})"
+    if not (base[:1].isalpha() and base.isascii() and base.isalnum()):
+        raise ValueError(f"invalid variable base name {base!r}")
+    if base[-1].isdigit():
+        raise ValueError(f"variable base {base!r} ends in a digit")
+    subs = tuple(map(int, subscripts))
+    if subs and min(subs) < 0:
+        raise ValueError("subscripts must be naturals")
+    if jet_order is not None and jet_order < 0:
+        raise ValueError("jet order must be a natural")
+    return _subscripted(base if jet_order is None else base + str(jet_order), subs)
 
 
 def _subscripted(text, subscripts):
@@ -89,11 +63,12 @@ def _subscripted(text, subscripts):
 class PolyRing:
     """Ordered variables over QQ, split into consecutive blocks.
 
-    `blocks` is the tuple of the blocks' sizes, the runs of equal
-    `Variable.jet_order` in list order: a plain ring is (n,), and a jet
-    ring (n,) * (s+1); an empty ring is (0,).  `_by_name` maps each variable
-    to its index.  `_key` holds, per variable, the `term_key` ints of its
-    block's degree field and its own, at value 0.
+    `blocks` is the tuple of the blocks' sizes, the runs of equal jet
+    orders, the digits ending each name before its subscripts, in list
+    order: a plain ring is (n,), and a jet ring (n,) * (s+1); an empty ring
+    is (0,).  `_by_name` maps each name to its index.  `_key` holds, per
+    variable, the `term_key` ints of its block's degree field and its own,
+    at value 0.
     """
 
     __slots__ = ("variables", "blocks", "_by_name", "_key", "_hash")
@@ -120,7 +95,7 @@ class PolyRing:
         self._hash = hash(self.variables)
 
     def index(self, v):
-        """The index of a variable, given as a Variable or by its name."""
+        """The index of a variable, given by its name."""
         try:
             return self._by_name[v]
         except KeyError:
@@ -136,7 +111,7 @@ class PolyRing:
         return Poly(self, {Monomial(): Fraction(c)})
 
     def var(self, v):
-        """The variable `v` (a Variable, name, or index) as a polynomial."""
+        """The variable `v` (a name or an index) as a polynomial."""
         i = v if isinstance(v, int) else self.index(v)
         return Poly(self, {Monomial({i: 1}): Fraction(1)})
 
@@ -268,13 +243,11 @@ class Poly:
         return sorted(self._terms.items(), key=lambda kv: term_key(ring, kv[0]), reverse=True)
 
     def coefficient(self, mono):
-        return self._terms.get(mono, Fraction(0))
+        """The coefficient of `mono`, any exponent map that `Monomial` takes."""
+        return self._terms.get(Monomial(mono), Fraction(0))
 
     def is_zero(self):
         return not self._terms
-
-    def degree(self):
-        return max((sum(e for _, e in m) for m in self._terms), default=-1)
 
     def is_term(self):
         return len(self._terms) == 1
@@ -623,7 +596,7 @@ def parse_variables(text):
 
 
 def _variables(cur):
-    """One `vars` read from `cur`, its ranges expanded into Variables."""
+    """One `vars` read from `cur`, its ranges expanded, as checked names."""
     toks = cur.toks
     result = []
     while True:
@@ -651,7 +624,7 @@ def _expand_range(cur, name, name2, at):
             raise cur.error("empty subscript range", at)
         box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(subs, subs2)])
         first = Variable(base, next(box))   # checks the base the whole box shares
-        return [first] + [str.__new__(Variable, _subscripted(base, t)) for t in box]
+        return [first] + [_subscripted(base, t) for t in box]
     if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
         raise cur.error("letter range needs single letters in order", at)
     return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]

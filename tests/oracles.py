@@ -13,6 +13,7 @@ earlier table layer of the series expansion (one table per exponent,
 relabelled per variable).  So are the earlier output paths of the mask
 kernels: covers decoded bit by bit and sorted as member lists, and the
 jets radical minimalized by the validating `MonomialIdeal` constructor.
+A variable's name is split into its parts by one regex (`split_name`).
 """
 
 import re
@@ -611,6 +612,21 @@ def brute_chromatic(n, edges):
 
 
 # --- parsing ------------------------------------------------------------------
+
+# a base starts with a letter and ends in one; the digits after it are the jet order
+_NAME_RE = re.compile(r"([A-Za-z](?:[A-Za-z0-9]*[A-Za-z])?)([0-9]*)(?:_\(([0-9]+(?:,[0-9]+)*)\))?")
+
+
+def split_name(name):
+    """The (base, subscripts, jet order or None) of a variable's name, read
+    by one regex: "x3_(1,2)" gives ("x", (1, 2), 3) and "ab" ("ab", (), None).
+    So `Variable(*split_name(v)) == v` for every well-formed name v."""
+    m = _NAME_RE.fullmatch(name)
+    assert m, name
+    base, order, subs = m.groups()
+    return (base, tuple(int(t) for t in subs.split(",")) if subs else (),
+            int(order) if order else None)
+
 
 def poly_from_terms(ring, terms):
     """The polynomial of `terms`, built only by the validating constructors.

@@ -19,7 +19,7 @@ from oracles import (assert_normal_form, brute_minimal_covers, by_size_by_member
                      intersect_variable_primes,
                      jets_radical_by_constructor, jets_radical_by_terms,
                      minimal_masks_all_pairs, monomial_divides, random_monomial_ideal,
-                     random_squarefree_ideal)
+                     random_squarefree_ideal, split_name)
 
 
 def test_is_monomial_ideal(xyz_ring, xyz_ideal):
@@ -227,8 +227,8 @@ def test_jets_radical_vanishes_exactly_on_arcs_of_high_order():
         I = random_monomial_ideal(rng, ring, max_exp=3)
         s = rng.randint(0, 3)
         rad = jets_radical(s, I)
-        base = {(v.base, v.subscripts): i for i, v in enumerate(ring.variables)}
-        jet = [(base[v.base, v.subscripts], v.jet_order) for v in rad.ring.variables]
+        base = {split_name(v)[:2]: i for i, v in enumerate(ring.variables)}
+        jet = [(base[b, subs], order) for b, subs, order in map(split_name, rad.ring.variables)]
         exps = [next(iter(f._terms)) for f in I.generators]
         for orders in product(range(s + 2), repeat=len(ring.variables)):
             on_radical = all(any(jet[k][1] < orders[jet[k][0]] for k, _ in m)

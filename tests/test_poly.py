@@ -1,7 +1,5 @@
-import copy
 import inspect
 import itertools
-import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
-                        is_homogeneous, jet_ring, parse_poly, parse_polys,
-                        parse_variables, term_key)
+                        is_homogeneous, jet_ring, jets_graph, parse_graph_text, parse_poly,
+                        parse_polys, parse_variables, term_key)
 
 from oracles import (assert_normal_form, dense_from_poly, dense_mul, dense_poly_str,
-                     dense_term_key, poly_from_terms, random_poly)
+                     dense_term_key, poly_from_terms, random_poly, split_name)
 
 
 def test_plain_ring_three_variables(xyz_ring):
@@ -36,9 +34,8 @@ def test_box_ranges_match_the_validating_constructor(text):
     # a box checks its base once and builds the rest of its variables unchecked
     variables = parse_variables(text)
     for v in variables:
-        w = Variable(v.base, v.subscripts)
-        assert v == w and hash(v) == hash(w) and str(v) == str(w), (v, w)
-        assert type(v.subscripts) is tuple and all(type(t) is int for t in v.subscripts)
+        base, subs, order = split_name(v)
+        assert order is None and Variable(base, subs) == v and type(v) is str, v
     assert len(set(variables)) == len(variables)
 
 
@@ -197,6 +194,16 @@ def test_parse_monomial(xyz_ring):
     assert f.coefficient(Monomial({0: 1, 1: 1, 2: 1})) == 1
 
 
+def test_coefficient_normalizes_its_key(xyz_ring):
+    f = parse_poly("3*x*y + z", xyz_ring)
+    for key in (((0, 1), (1, 1)), ((1, 1), (0, 1)), {0: 1, 1: 1}, [(0, 1), (1, 1), (2, 0)]):
+        assert f.coefficient(key) == 3, key
+    assert f.coefficient({2: 1}) == 1 and f.coefficient(((2, 1),)) == 1
+    assert f.coefficient({}) == 0 and f.coefficient({0: 2}) == 0
+    with pytest.raises(ValueError, match="negative exponent"):
+        f.coefficient({0: -1})
+
+
 def test_parse_zero(xyz_ring):
     assert parse_poly("0", xyz_ring).is_zero()
     assert str(parse_poly("0", xyz_ring)) == "0"
@@ -270,9 +277,10 @@ def _subscript_tokens(rng, subs):
 
 def _name_tokens(rng, v):
     """A variable's name as one compact token, or spelled out token by token."""
-    if not v.subscripts or rng.random() < 0.4:
-        return [str(v)]
-    return [str(v).partition("_(")[0]] + _subscript_tokens(rng, v.subscripts)
+    subs = split_name(v)[1]
+    if not subs or rng.random() < 0.4:
+        return [v]
+    return [v.partition("_(")[0]] + _subscript_tokens(rng, subs)
 
 
 def _random_poly_text(rng, ring):
@@ -553,32 +561,29 @@ def test_poly_str_matches_the_dense_printer():
 
 def test_variable_is_its_name():
     v = Variable("x", (1, 2), 3)
-    assert isinstance(v, str) and str(v) == "x3_(1,2)" and type(str(v)) is str
-    assert Variable.__slots__ == () and not hasattr(v, "__dict__")
-    assert (v.base, v.subscripts, v.jet_order) == ("x", (1, 2), 3)
-    w = Variable("x", (1, 2), 3)
-    assert v == w and hash(v) == hash(w) and repr(v) == "Variable('x3_(1,2)')"
-    assert v != Variable("x", (1, 2)) and str(Variable("x", (1, 2))) == "x_(1,2)"
-    assert Variable("x", ("1", "02")) == Variable("x", (1, 2))
-    assert str(Variable("x", ("1", "02"))) == "x_(1,2)" and str(Variable("ab")) == "ab"
-    # a variable equals, hashes and orders as its name
-    assert Variable("x") == "x" and hash(Variable("x")) == hash("x")
+    assert type(v) is str and v == "x3_(1,2)" and split_name(v) == ("x", (1, 2), 3)
+    assert v != Variable("x", (1, 2)) and Variable("x", (1, 2)) == "x_(1,2)"
+    assert Variable("x", ("1", "02")) == "x_(1,2)" and Variable("ab") == "ab"
+    assert Variable("x", (), 0) == "x0" and Variable("x", (1, 1), 0) == "x0_(1,1)"
     assert sorted([Variable("y"), Variable("x", (), 1), Variable("x")]) == ["x", "x1", "y"]
     assert list(inspect.signature(Variable).parameters) == ["base", "subscripts", "jet_order"]
     with pytest.raises(TypeError):
         Variable("x", (), None, "x")
-    # immutable: no field can be assigned or deleted, and nothing else set
-    h = hash(v)
-    for attr in ("base", "subscripts", "jet_order", "name"):
-        with pytest.raises(AttributeError):
-            setattr(v, attr, "y")
-        with pytest.raises(AttributeError):
-            delattr(v, attr)
-    assert v.base == "x" and str(v) == "x3_(1,2)" and hash(v) == h
-    # pickling and copying rebuild through the checks of the constructor
-    for u in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
-        assert type(u) is Variable and u == v and hash(u) == h
-        assert (u.base, u.subscripts, u.jet_order) == (v.base, v.subscripts, v.jet_order)
+
+
+def test_every_variable_the_library_builds_is_a_plain_str():
+    ring = PolyRing(parse_variables("a..c,x_(1,1)..x_(2,3),y_(0),z,w"))
+    jets = jet_ring(ring, 2).ring
+    G = parse_graph_text("u-v, v-x_(1), vertices-u")
+    H = parse_graph_text("vertices a..d, x_(0,1)..x_(0,2)\na-b, x_(0,1)-c")
+    variables = [*ring.variables, *jets.variables, *G.vertices, *H.vertices,
+                 *jets_graph(3, G).vertices, *jets_graph(0, H).vertices,
+                 Variable("x"), Variable("x", (1,)), Variable("x", (), 2)]
+    assert len(variables) == 12 + 36 + 4 + 6 + 16 + 6 + 3
+    assert all(type(v) is str for v in variables), {type(v) for v in variables}
+    for r in (ring, jets):
+        assert all(type(k) is str for k in r._by_name)
+        assert list(r._by_name) == list(r.variables)
 
 
 def test_variable_fields_round_trip_through_the_name():
@@ -586,20 +591,21 @@ def test_variable_fields_round_trip_through_the_name():
     bases = ["x", "ab", "a1b", "Q", "z9z", "xyz"]
     variables = []
     for _ in range(300):
+        base = rng.choice(bases)
         subs = tuple(rng.choice([0, 0, 1, 7, 10, 12, 100, 2026])
                      for _ in range(rng.choice([0, 0, 1, 2, 3])))
         order = rng.choice([None, rng.randint(0, 12)])
-        v = Variable(rng.choice(bases), subs, order)
-        assert type(v.subscripts) is tuple and all(type(t) is int for t in v.subscripts)
-        assert v.subscripts == subs and v.jet_order == order
+        v = Variable(base, subs, order)
+        assert split_name(v) == (base, subs, order), v
         variables.append(v)
-    plain = [v for v in dict.fromkeys(variables) if v.jet_order is None]
+    plain = [v for v in dict.fromkeys(variables) if split_name(v)[2] is None]
     for s in (0, 1, 12):
         variables += jet_ring(PolyRing(plain), s).ring.variables
-    for v in variables:
-        assert Variable(v.base, v.subscripts, v.jet_order) == v, v
-    assert {v.base for v in variables} == set(bases)
-    assert {v.jet_order for v in variables} == {None, *range(13)}
+    parts = [split_name(v) for v in variables]
+    for v, (base, subs, order) in zip(variables, parts):
+        assert Variable(base, subs, order) == v, v
+    assert {base for base, _, _ in parts} == set(bases)
+    assert {order for _, _, order in parts} == {None, *range(13)}
 
 
 @pytest.mark.parametrize("args, message", [
