@@ -18,6 +18,12 @@ of orders summing to j with their multinomial counts.  Each term of f is
 a truncated convolution of the tables of its variables, scaled by its
 coefficient once per distinct count; no two jet monomials it yields are
 equal, so the t^0..t^s coefficients are those of the full expansion.
+
+Each coefficient is built in print order.  The dense row of fields that
+`poly.term_key` compares is additive over products, so a pattern's row,
+packed as one int in balanced radix 2^w with 2^(w-1) above the degree of
+f, rides the tables and the convolution as a sum.  Only the k variables f
+uses get fields, (k+1)(s+1) in all, so the key does not grow with the ring.
 """
 
 from math import comb
@@ -73,28 +79,29 @@ def jet_ring(base, s):
     return JetRing(base, s, PolyRing(_jet_variables(base.variables, s)))
 
 
-def _power_table(e, s, i, n):
+def _power_table(e, s, i, n, unit, shift):
     """(x_{i,0} + x_{i,1} t + ... + x_{i,s} t^s)^e modulo t^(s+1), with
     integer counts, on the jet indices o*n + i of a base ring of n variables.
 
-    Entry d lists the terms of t^d as (((o*n + i, mult), ...), count): the
-    indices ascend, the mults sum to e, and count is the multinomial
-    e! / prod(mult!).  Depth first, each pattern is built once: a stacked
-    one fixes the mults of the orders above `top`, is emitted with order 0
-    taking the rest of e, and grows by each lower nonzero order.
+    Entry d lists the terms of t^d as (key, ((o*n + i, mult), ...), count):
+    the indices ascend, the mults sum to e, count is e! / prod(mult!), and
+    key, the sum of mult * unit << o*shift, orders the pattern if x_{i,o}
+    has key unit << o*shift.  Depth first, each pattern is built once: a
+    stacked one fixes the mults of the orders above `top`, is emitted with
+    order 0 taking the rest of e, and grows by each lower nonzero order.
     """
     table = [[] for _ in range(s + 1)]
-    stack = [((), e, 0, 1, s)]   # (pattern, multiplicity left, t-degree, count, top)
+    stack = [((), 0, e, 0, 1, s)]   # (pattern, key, multiplicity left, t-degree, count, top)
     while stack:
-        pattern, left, d, count, top = stack.pop()
+        pattern, key, left, d, count, top = stack.pop()
         if not left:
-            table[d].append((pattern, count))
+            table[d].append((key, pattern, count))
             continue
-        table[d].append((((i, left),) + pattern, count))
+        table[d].append((key + left * unit, ((i, left),) + pattern, count))
         for o in range(min(top, s - d), 0, -1):
             for m in range(1, min(left, (s - d) // o) + 1):
-                stack.append((((o * n + i, m),) + pattern, left - m, d + m * o,
-                              count * comb(left, m), o - 1))
+                stack.append((((o * n + i, m),) + pattern, key + (m * unit << o * shift),
+                              left - m, d + m * o, count * comb(left, m), o - 1))
     return table
 
 
@@ -110,38 +117,50 @@ def series_substitute(f, jets):
     exponent) and call on jet indices, and c is scaled once per distinct
     multinomial count.  Each coefficient is one Poly on normalized terms:
     a jet monomial is its pattern of (jet index, exponent) pairs, sorted.
+    Sorted once on their order keys, its terms are stored in print order,
+    and it is `_ordered`.  For the r-th of the k variables of f, x_{i,o}
+    adds 1 to field o*(k+1) + k (block o's degree), -1 to o*(k+1) + r,
+    each field w bits wide and counted from the least significant.
     """
     if f.ring != jets.base:
         raise ValueError("polynomial does not live in the base ring")
     s = jets.order
     n = len(jets.base.variables)
+    support = sorted({i for mono in f._terms for i, _ in mono})
+    k = len(support)
+    w = max((sum(e for _, e in mono) for mono in f._terms), default=0).bit_length() + 1
     tables = {}   # (variable, exponent) -> _power_table
-    out = [{} for _ in range(s + 1)]
+    rows = [[] for _ in range(s + 1)]   # per t-degree, (key, pattern, coefficient)
     for mono, coef in f._terms.items():
-        partial = None if mono else _power_table(0, s, 0, n)   # x^0 for a constant
+        partial = None if mono else _power_table(0, s, 0, n, 0, 0)   # x^0 for a constant
         for i, e in mono:
             factor = tables.get((i, e))
             if factor is None:
-                factor = tables[i, e] = _power_table(e, s, i, n)
+                unit = (1 << w * k) - (1 << w * support.index(i))   # the key of x_{i,0}
+                factor = tables[i, e] = _power_table(e, s, i, n, unit, w * (k + 1))
             if partial is None:   # the first factor needs no convolution
                 partial = factor
                 continue
             grown = [[] for _ in range(s + 1)]
             for d, row in enumerate(partial):
-                for exps, count in row:
+                for key, exps, count in row:
                     for d2 in range(s + 1 - d):
                         target = grown[d + d2]
-                        for exps2, count2 in factor[d2]:
-                            target.append((exps + exps2, count * count2))
+                        for key2, exps2, count2 in factor[d2]:
+                            target.append((key + key2, exps + exps2, count * count2))
             partial = grown
         scaled = {1: coef}   # int count -> coef * count
-        for terms, row in zip(out, partial):
-            for exps, count in row:
+        for out, row in zip(rows, partial):
+            for key, exps, count in row:
                 c = scaled.get(count)
                 if c is None:
                     c = scaled[count] = coef * count
-                terms[tuple(sorted(exps))] = c
-    return tuple(Poly._trusted(jets.ring, terms) for terms in out)
+                out.append((key, exps, c))
+    coefficients = tuple(Poly._trusted(jets.ring, {tuple(sorted(exps)): c for _, exps, c
+                                                   in sorted(row, reverse=True)}) for row in rows)
+    for p in coefficients:
+        p._ordered = True   # sorted on distinct keys, so nothing past them was compared
+    return coefficients
 
 
 def jets_ideal(s, I):

@@ -41,6 +41,7 @@ def Variable(base, subscripts=(), jet_order=None):
     could be x at order 12 or x1 at order 2, so a name determines its
     parts.  The parser scans a name so written as one token.
     """
+    base = str(base)   # a plain str, also when given a str subclass
     if not (base[:1].isalpha() and base.isascii() and base.isalnum()):
         raise ValueError(f"invalid variable base name {base!r}")
     if base[-1].isdigit():
@@ -207,10 +208,11 @@ class Poly:
     brings each into normal form through `Monomial`, so keys of one monomial add up.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_ordered")
 
     def __init__(self, ring, terms):
         self.ring = ring
+        self._ordered = False
         nvars = len(ring.variables)
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -235,10 +237,14 @@ class Poly:
         p = object.__new__(cls)
         p.ring = ring
         p._terms = terms
+        p._ordered = False
         return p
 
     def items(self):
-        """Terms as (monomial, coefficient) pairs in canonical descending order."""
+        """Terms as (monomial, coefficient) pairs in canonical descending order:
+        as stored when the poly is `_ordered`, else sorted by `term_key`."""
+        if self._ordered:
+            return list(self._terms.items())
         ring = self.ring
         return sorted(self._terms.items(), key=lambda kv: term_key(ring, kv[0]), reverse=True)
 

@@ -9,10 +9,11 @@ from jetschemes import (Ideal, JetRing, Monomial, Poly, PolyRing, RingMap, Varia
                         generic_matrix, is_homogeneous, jet_ring, jets_ideal, jets_quotient,
                         jets_ring_map, minors, parse_poly, parse_variables, series_substitute)
 from jetschemes.jets import _power_table
+from jetschemes.poly import term_key
 
 from expected import XYZ_JET2_GENERATORS
-from oracles import (assert_normal_form, dense_from_poly, random_poly, series_by_full_expansion,
-                     series_by_relabelled_tables, split_name)
+from oracles import (assert_normal_form, dense_from_poly, dense_poly_str, random_poly,
+                     series_by_full_expansion, series_by_relabelled_tables, split_name)
 
 
 def test_jet_ring_order2(xyz_ring):
@@ -124,14 +125,19 @@ def test_series_matches_full_expansion(xyz_ring):
 
 @pytest.mark.parametrize("i,n", [(0, 1), (1, 2), (2, 3), (4, 7)])
 def test_power_table_closed_form(i, n):
+    rng = random.Random(20250 + 10 * i + n)
     for e in range(1, 7):
         for s in range(13):
-            table = _power_table(e, s, i, n)
+            # any signed key of x_{i,0} and any shift per order: a pattern's
+            # key is its mults times the keys of its jet variables
+            unit = rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 200)))
+            shift = rng.choice((0, 1, 5, 64))
+            table = _power_table(e, s, i, n, unit, shift)
             assert len(table) == s + 1
             for d, row in enumerate(table):
-                patterns = [pattern for pattern, _ in row]
+                patterns = [pattern for _, pattern, _ in row]
                 assert len(set(patterns)) == len(patterns)
-                for pattern, count in row:
+                for key, pattern, count in row:
                     indices = [k for k, _ in pattern]
                     mults = [m for _, m in pattern]
                     assert all(k % n == i for k in indices)
@@ -139,8 +145,91 @@ def test_power_table_closed_form(i, n):
                     assert all(m > 0 for m in mults) and sum(mults) == e
                     assert sum(k // n * m for k, m in pattern) == d
                     assert count == factorial(e) // prod(factorial(m) for m in mults)
+                    assert key == sum(m * (unit << k // n * shift) for k, m in pattern)
                 # every ordered e-tuple of orders with sum d, once
-                assert sum(count for _, count in row) == comb(d + e - 1, e - 1)
+                assert sum(count for _, _, count in row) == comb(d + e - 1, e - 1)
+
+
+def _assert_in_print_order(p):
+    """p, a jet coefficient, skips the sort yet lists and prints its terms
+    as the term order and the dense oracle do."""
+    assert p._ordered
+    ring = p.ring
+    assert p.items() == sorted(p._terms.items(), key=lambda kv: term_key(ring, kv[0]),
+                               reverse=True)
+    assert str(p) == dense_poly_str(p)
+
+
+def _order_cases(rng):
+    """(f, s): f using 1-3 variables of rings of 1 to 300 variables, non-
+    homogeneous, with total degrees on both sides of the powers of two that
+    set the key's field width; constants, zero and single variables."""
+    for n in (1, 2, 3, 7, 40, 300):
+        ring = PolyRing([Variable("x", (k,)) for k in range(n)])
+        for _ in range(6):
+            used = rng.sample(range(n), min(n, rng.randint(1, 3)))
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = {i: rng.randint(0, 3) for i in rng.sample(used, rng.randint(1, len(used)))}
+                terms[Monomial(exps)] = _rational(rng)
+            yield Poly(ring, terms), rng.randint(0, 8)
+        i = rng.randrange(n)
+        for e in (1, 2, 3, 4, 7, 8):
+            yield Poly(ring, {Monomial({i: e}): _rational(rng), (): _rational(rng)}), e
+        yield ring.var(i), 8
+        yield ring.constant(_rational(rng)), rng.randint(0, 8)
+        yield ring.zero(), rng.randint(0, 8)
+    xyz = PolyRing(parse_variables("x,y,z"))
+    for text in ("x^3*y^4 + z^8 - x", "x*y*z + y^7 + 1", "x^15*y - z^16 + y"):
+        for s in range(9):
+            yield parse_poly(text, xyz), s
+    # every monomial of degree <= d in 2 or 3 of 5 variables, so that every
+    # pair of jet monomials of a degree and an order meets in one coefficient
+    ring = PolyRing(parse_variables("a..e"))
+    for d, used in ((1, (0, 2, 4)), (2, (0, 2, 4)), (3, (1, 2, 3)), (4, (0, 4)), (7, (1, 3)),
+                    (8, (2, 3))):
+        dense = {Monomial(zip(used, exps)): _rational(rng)
+                 for exps in product(range(d + 1), repeat=len(used)) if sum(exps) <= d}
+        for s in range(4 if len(used) == 2 else 3):
+            yield Poly(ring, dense), s
+
+
+def test_series_coefficients_are_built_in_print_order():
+    rng = random.Random(20251)
+    for f, s in _order_cases(rng):
+        coeffs = series_substitute(f, jet_ring(f.ring, s))
+        assert len(coeffs) == s + 1
+        for p in coeffs:
+            _assert_in_print_order(p)
+
+
+def test_jets_ring_map_images_are_built_in_print_order():
+    rng = random.Random(20252)
+    R = PolyRing(parse_variables("p,q"))
+    T = PolyRing(parse_variables("u,v,w"))
+    phi = RingMap(R, T, (parse_poly("u^3*v - 2*w + 1/3", T), parse_poly("v^2*w^2 - u", T)))
+    for s in range(6):
+        jphi = jets_ring_map(s, phi)
+        for g in jphi.images:
+            _assert_in_print_order(g)
+        # a map's values are arithmetic, so they are sorted to print
+        value = jphi(random_poly(rng, jphi.source, max_degree=2, max_terms=3))
+        assert not value._ordered and str(value) == dense_poly_str(value)
+
+
+def test_print_order_does_not_leak_into_arithmetic():
+    xyz = PolyRing(parse_variables("x,y,z"))
+    J = jet_ring(xyz, 3)
+    p = series_substitute(parse_poly("x^2*y - z^3 + 2*y", xyz), J)[3]
+    q = series_substitute(parse_poly("x*z + y^2", xyz), J)[2]
+    assert p._ordered and q._ordered
+    for r in (-p, p + q, q + p, p - q, 2 * p, p * 2, p * q, p ** 2, p + 1,
+              Poly(p.ring, p._terms), Poly(p.ring, p.items())):
+        assert not r._ordered
+        assert str(r) == dense_poly_str(r)
+        assert r.items() == sorted(r._terms.items(), key=lambda kv: term_key(J.ring, kv[0]),
+                                   reverse=True)
+    assert not parse_poly("x0*y1 + x1", J.ring)._ordered
 
 
 # the series benchmark's plane-curve exponents (p, q)

@@ -586,6 +586,20 @@ def test_every_variable_the_library_builds_is_a_plain_str():
         assert list(r._by_name) == list(r.variables)
 
 
+def test_a_variable_of_a_str_subclass_is_a_plain_str():
+    class Name(str):
+        pass
+
+    variables = [Variable(Name("x")), Variable(Name("x"), (1,)), Variable(Name("x"), (), 0),
+                 Variable("y", (Name("2"),))]
+    assert variables == ["x", "x_(1)", "x0", "y_(2)"]
+    assert all(type(v) is str for v in variables), {type(v) for v in variables}
+    ring = PolyRing([Variable(Name("x")), Variable(Name("y"))])
+    assert all(type(k) is str for k in ring._by_name)
+    with pytest.raises(ValueError):
+        Variable(Name("x1"))
+
+
 def test_variable_fields_round_trip_through_the_name():
     rng = random.Random(2301)
     bases = ["x", "ab", "a1b", "Q", "z9z", "xyz"]
