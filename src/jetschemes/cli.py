@@ -15,8 +15,11 @@ like "take the radical of the jets, then its minimal primes" stay batch:
 
 Output is a deterministic transcript, one block per statement, or one
 JSON object per command with --json; both are printed from the same
-record of each result (`to_record`).  Ideal statements parse their
-polynomials in the most recently defined ring.
+record of each result (`to_record`).  Each block is written once its
+statement has run, so a failing statement keeps the output before it.
+With --json a definition is neither echoed nor formatted, so a value
+too large to print fails only a command that prints it.  Ideal
+statements parse their polynomials in the most recently defined ring.
 """
 
 import json
@@ -164,8 +167,10 @@ def _exec_statement(text, start, end, session):
     """Read and execute the statement in `text[start:end]`; returns (echo,
     result or None).  A statement of the wrong shape is reported at its start.
 
-    A matrix statement's echo ends with the matrix rows, so text mode shows
-    them and JSON mode, which prints results only, does not.
+    A command's echo is its words.  A definition's echo is left unformatted,
+    the pair of its prefix ("ideal I = ") and the defined value, so that only
+    text mode, which prints it, pays for `str` of the value; a matrix's prefix
+    ends in a newline, so its rows print below it in text mode.
     """
     cur = _Cursor(text, start, end)
     toks = cur.toks
@@ -196,7 +201,7 @@ def _exec_statement(text, start, end, session):
         session.define(name, value)
         if head == "ring":
             session.current_ring = value
-        return f"{head} {name} = {value}", None
+        return (f"{head} {name} = ", value), None
     if head == "matrix":
         texts = _read(cur, "matrix statement", 0, "matrix", "ident", "=", "generic", "(",
                       "ident", ",", "int", ",", "int", ")", "")
@@ -204,26 +209,32 @@ def _exec_statement(text, start, end, session):
         ring = session.lookup(ring_name, PolyRing, "a ring")
         matrix = generic_matrix(ring, rows, cols)
         session.define(name, matrix)
-        return f"matrix {name} = generic({ring_name},{rows},{cols})\n{matrix}", None
+        return (f"matrix {name} = generic({ring_name},{rows},{cols})\n", matrix), None
     if head in _COMMANDS:
         return _command(cur, session)
     raise cur.error(f"unknown statement {head!r}", 0)
 
 
-def run_script(text, json_mode=False):
-    """Execute a script and return its transcript (or JSON lines) as a string."""
+def _blocks(text, json_mode):
+    """Run a script, yielding each statement's output as soon as it has run:
+    its text block, or with `json_mode` its command's JSON line."""
     session = Session()
-    out = []
     for index, (start, end) in enumerate(_split_statements(text), start=1):
         echo, result = _exec_statement(text, start, end, session)
         if json_mode:
             if result is not None:
-                out.append(emit_json(result))
-        else:
-            out.append(f"[{index}] {echo}")
-            if result is not None:
-                out.extend(_text_lines(to_record(result)))
-    return "\n".join(out)
+                yield emit_json(result)
+        elif result is not None:
+            yield "\n".join([f"[{index}] {echo}", *_text_lines(to_record(result))])
+        elif type(echo) is str:
+            yield f"[{index}] {echo}"
+        else:   # a definition: its prefix and value, formatted only here
+            yield f"[{index}] {echo[0]}{echo[1]}"
+
+
+def run_script(text, json_mode=False):
+    """Execute a script and return its transcript (or JSON lines) as a string."""
+    return "\n".join(_blocks(text, json_mode))
 
 
 def _line_col(text, pos):
@@ -254,25 +265,25 @@ def main(argv=None):
     except UnicodeDecodeError as e:
         print(f"error: {args.script or '<stdin>'}: {e}", file=sys.stderr)
         return 1
+    code, error = 0, None
     try:
-        output = run_script(text, json_mode=args.json)
-    except ParseError as e:
-        line, col = _line_col(text, e.pos)
-        print(f"parse error: line {line}, column {col}: {e.message}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        if output:
-            print(output)
-        sys.stdout.flush()   # a closed pipe must fail here, not at exit
+        try:
+            for block in _blocks(text, args.json):
+                print(block)
+        except ParseError as e:
+            line, col = _line_col(text, e.pos)
+            code, error = 2, f"parse error: line {line}, column {col}: {e.message}"
+        except ValueError as e:
+            code, error = 1, f"error: {e}"
+        sys.stdout.flush()   # before the error; a closed pipe must fail here, not at exit
     except BrokenPipeError:
         # the reader is gone (`jetschemes | head -1`); point stdout at devnull
         # so the flush at interpreter exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 0
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ def _subscripted(text, subscripts):
     """`text` followed by its subscript group, if any: "x" and (1, 2) give "x_(1,2)"."""
     if not subscripts:
         return text
-    return text + "_(" + ",".join(str(s) for s in subscripts) + ")"
+    return text + "_(" + ",".join(map(str, subscripts)) + ")"
 
 
 class PolyRing:
@@ -619,7 +619,12 @@ def _variables(cur):
 
 
 def _expand_range(cur, name, name2, at):
-    """The variables of the range `name..name2`; an error is at token `at`."""
+    """The variables of the range `name..name2`; an error is at token `at`.
+
+    Each name is built from parts checked once: a box's base by `Variable`,
+    its coordinates stringified once per range; a letter range's letters in
+    one pass, the first non-letter refused with the error `Variable` gives.
+    """
     (base, subs), (base2, subs2) = _split_name(name), _split_name(name2)
     if subs or subs2:
         if base != base2:
@@ -628,9 +633,13 @@ def _expand_range(cur, name, name2, at):
             raise cur.error("subscript range needs tuples of equal length", at)
         if any(lo > hi for lo, hi in zip(subs, subs2)):
             raise cur.error("empty subscript range", at)
-        box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(subs, subs2)])
-        first = Variable(base, next(box))   # checks the base the whole box shares
-        return [first] + [_subscripted(base, t) for t in box]
+        Variable(base)   # checks the base the whole box shares
+        box = itertools.product(*[list(map(str, range(lo, hi + 1)))
+                                  for lo, hi in zip(subs, subs2)])
+        return [f"{base}_({','.join(t)})" for t in box]
     if len(base) != 1 or len(base2) != 1 or ord(base) > ord(base2):
         raise cur.error("letter range needs single letters in order", at)
-    return [Variable(chr(c)) for c in range(ord(base), ord(base2) + 1)]
+    letters = "".join(map(chr, range(ord(base), ord(base2) + 1)))
+    if not letters.isalpha():   # from "Z" to "a" lie "[" to "`"
+        Variable(next(c for c in letters if not c.isalpha()))
+    return list(letters)

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from jetschemes import ParseError
+from jetschemes import GenericMatrix, Graph, Ideal, MonomialIdeal, ParseError, Poly, PolyRing
 from jetschemes.cli import main, run_script
 
 from expected import (XYZ_JET2_GENERATORS, XYZ_JET2_MINIMAL_PRIMES,
@@ -198,7 +199,24 @@ def test_main_semantic_error_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("ring R = [x]; jets 1 NOPE;", encoding="utf-8")
     assert main(["--script", str(path)]) == 1
-    assert "unknown name" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "[1] ring R = QQ[x]\n"
+    assert captured.err == "error: unknown name NOPE\n"
+
+
+@pytest.mark.parametrize("flag, out", [
+    ([], "[1] ring R = QQ[x,y]\n[2] ideal I = ideal(x*y)\n[3] jets 1 I\ny0*x1+x0*y1\nx0*y0\n"),
+    (["--json"], '{"generators":["y0*x1+x0*y1","x0*y0"],"kind":"ideal",'
+                 '"ring":["x0","y0","x1","y1"]}\n'),
+])
+def test_main_prints_the_statements_before_an_error(tmp_path, capsys, flag, out):
+    # each statement's block is written once it has run, so a failing
+    # statement keeps the output of those before it
+    path = tmp_path / "partial.txt"
+    path.write_text("ring R = [x,y]; ideal I = x*y; jets 1 I; jets 1 J;", encoding="utf-8")
+    assert main(["--script", str(path)] + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == out and captured.err == "error: unknown name J\n"
 
 
 def test_main_degree_bound_exit_1(tmp_path, capsys):
@@ -218,27 +236,57 @@ def test_main_iterated_graph_jets_exit_1(tmp_path, capsys):
                                        "iterated jets are not supported\n")
 
 
-@pytest.mark.parametrize("script, code, err", [
-    ("ring R = [x]; ideal I = " + "7" * 5000 + "*x;", 2,
+DIGIT_LIMIT_CASES = [
+    ("ring R = [x]; ideal I = " + "7" * 5000 + "*x;", 2, "[1] ring R = QQ[x]\n",
      "parse error: line 1, column 25: integer of more than 4300 digits"),
     ("ring R = [x]; ideal I = x; jets " + "1" * 4400 + " I;", 2,
+     "[1] ring R = QQ[x]\n[2] ideal I = ideal(x)\n",
      "parse error: line 1, column 33: integer of more than 4300 digits"),
-    ("ring R = [x,y]; matrix M = generic(R,1," + "2" * 4301 + ");", 2,
+    ("ring R = [x,y]; matrix M = generic(R,1," + "2" * 4301 + ");", 2, "[1] ring R = QQ[x,y]\n",
      "parse error: line 1, column 40: integer of more than 4300 digits"),
-    ("ring R = [x_(" + "3" * 4400 + ")];", 2,
+    ("ring R = [x_(" + "3" * 4400 + ")];", 2, "",
      "parse error: line 1, column 11: subscript of more than 4300 digits"),
     ("ring R = [x]; ideal I = " + "9" * 4300 + "*x^2; jets 1 I;", 1,
+     "[1] ring R = QQ[x]\n[2] ideal I = ideal(" + "9" * 4300 + "*x^2)\n",
      "error: cannot print a coefficient of more than 4300 digits"),
-])
-def test_main_integers_past_the_digit_limit(tmp_path, capsys, script, code, err):
+]
+
+
+# the ids leave out the transcripts
+@pytest.mark.parametrize("script, code, out, err", DIGIT_LIMIT_CASES,
+                         ids=[f"{s}-{c}-{e}" for s, c, _, e in DIGIT_LIMIT_CASES])
+def test_main_integers_past_the_digit_limit(tmp_path, capsys, script, code, out, err):
     # Python converts at most sys.get_int_max_str_digits() digits; a token past
-    # that is a parse error at it, and a coefficient past it cannot be printed
+    # that is a parse error at it, and a coefficient past it cannot be printed;
+    # the blocks of the statements before the failing one are printed
     assert sys.get_int_max_str_digits() == 4300
     path = tmp_path / "long.txt"
     path.write_text(script, encoding="utf-8")
     assert main(["--script", str(path)]) == code
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == err + "\n"
+    assert captured.out == out and captured.err == err + "\n"
+
+
+# a definition whose like terms add up to a coefficient of 4,301 digits
+UNPRINTABLE_DEFINITION = "ring R = [x]; ideal I = " + "9" * 4300 + "*x + " + "9" * 4300 + "*x;"
+
+
+@pytest.mark.parametrize("script, flag, code, out, err", [
+    (UNPRINTABLE_DEFINITION, ["--json"], 0, "", ""),
+    (UNPRINTABLE_DEFINITION, [], 1, "[1] ring R = QQ[x]\n",
+     "error: cannot print a coefficient of more than 4300 digits\n"),
+    (UNPRINTABLE_DEFINITION + " jets 0 I;", ["--json"], 1, "",
+     "error: cannot print a coefficient of more than 4300 digits\n"),
+], ids=["json", "text", "json-command"])
+def test_main_formats_a_definition_only_to_print_it(tmp_path, capsys, script, flag, code,
+                                                   out, err):
+    # --json echoes no definition, so an unprintable value fails only when a
+    # command prints it
+    path = tmp_path / "wide.txt"
+    path.write_text(script, encoding="utf-8")
+    assert main(["--script", str(path)] + flag) == code
+    captured = capsys.readouterr()
+    assert captured.out == out and captured.err == err
 
 
 def test_main_missing_file_exit_1(tmp_path, capsys):
@@ -311,6 +359,26 @@ def test_import_and_run_load_no_heavy_modules():
     loaded = set(proc.stdout.split())
     assert {"jetschemes.cli", "jetschemes.graphs"} <= loaded
     assert loaded.isdisjoint(UNLOADED), sorted(loaded.intersection(UNLOADED))
+
+
+def test_json_mode_formats_no_definition(monkeypatch):
+    # --json prints commands only, so no defined value is turned into text
+    counts = collections.Counter()
+    for cls in (Poly, Ideal, PolyRing, MonomialIdeal, Graph, GenericMatrix):
+        def counted(self, _str=cls.__str__, _name=cls.__name__):
+            counts[_name] += 1
+            return _str(self)
+        monkeypatch.setattr(cls, "__str__", counted)
+    records = [json.loads(line) for line in
+               run_script(EVERY_KIND_SCRIPT, json_mode=True).splitlines()]
+    ideals = [r for r in records if r["kind"] == "ideal"]   # of `jets 1 I` and `minors 2 M`
+    assert len(ideals) == 2
+    # the polys formatted are the generators printed and the 4 entries of
+    # the 2x2 matrix, which `minors` reads by name
+    assert counts == {"Poly": sum(len(r["generators"]) for r in ideals) + 4}
+    counts.clear()
+    run_script(EVERY_KIND_SCRIPT)   # text mode echoes every definition
+    assert set(counts) == {"Poly", "Ideal", "PolyRing", "Graph", "GenericMatrix"}
 
 
 def test_main_help_exits_0_with_usage(capsys):

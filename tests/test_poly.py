@@ -2,13 +2,14 @@ import inspect
 import itertools
 import random
 import re
+import string
 from fractions import Fraction
 
 import pytest
 
 from jetschemes import (Ideal, Monomial, ParseError, Poly, PolyRing, Variable,
                         is_homogeneous, jet_ring, jets_graph, parse_graph_text, parse_poly,
-                        parse_polys, parse_variables, term_key)
+                        parse_polys, parse_variables, run_script, term_key)
 
 from oracles import (assert_normal_form, dense_from_poly, dense_mul, dense_poly_str,
                      dense_term_key, poly_from_terms, random_poly, split_name)
@@ -51,6 +52,42 @@ def test_ranges_still_check_their_bases(text, message):
 def test_letter_range():
     vs = parse_variables("a..e")
     assert [str(v) for v in vs] == ["a", "b", "c", "d", "e"]
+
+
+def test_box_ranges_equal_their_names_built_one_by_one():
+    # coordinates from 0, and across a change of digit count (8..11, 98..101)
+    rng = random.Random(26)
+    texts = ["x_(8)..x_(11)", "x_(0,8)..x_(2,11)", "ab_(9,0,98)..ab_(10,1,101)"]
+    for _ in range(300):
+        lo = [rng.choice([0, 8, 9, 98, rng.randint(0, 30)]) for _ in range(rng.randint(1, 3))]
+        hi = [s + rng.randint(0, 3) for s in lo]
+        base = rng.choice(["x", "ab", "Q", "u2v"])
+        texts.append(f"{base}_({','.join(map(str, lo))})..{base}_({','.join(map(str, hi))})")
+    for text in texts:
+        (base, lo, _), (_, hi, _) = map(split_name, text.split(".."))
+        points = itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+        assert parse_variables(text) == [Variable(base, t) for t in points], text
+
+
+def test_letter_ranges_equal_their_letters_checked_one_by_one():
+    # every range of letters, also those across "Z".."a", whose first
+    # non-letter "[" is refused as a variable base
+    letters = string.ascii_uppercase + string.ascii_lowercase
+    for i, first in enumerate(letters):
+        for last in letters[i:]:
+            text = f"{first}..{last}"
+            try:
+                want = [Variable(chr(c)) for c in range(ord(first), ord(last) + 1)]
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    parse_variables(text)
+                assert type(got.value) is ValueError and str(got.value) == str(e), text
+                with pytest.raises(ParseError) as got:
+                    run_script(f"ring R = [{text}];")
+                assert (got.value.message, got.value.pos) == (str(e), 10), text
+                continue
+            assert parse_variables(text) == want, text
+            assert run_script(f"ring R = [{text}];") == f"[1] ring R = QQ[{','.join(want)}]"
 
 
 def test_plain_ring_duplicate_rejected():
