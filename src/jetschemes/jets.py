@@ -21,12 +21,19 @@ equal, so the t^0..t^s coefficients are those of the full expansion.
 
 Each coefficient is built in print order.  The dense row of fields that
 `poly.term_key` compares is additive over products, so a pattern's row,
-packed as one int in balanced radix 2^w with 2^(w-1) above the degree of
-f, rides the tables and the convolution as a sum.  Only the k variables f
+packed as one int in balanced radix 2^w with 2^w above the degree of f,
+rides the tables and the convolution as a sum.  Only the k variables f
 uses get fields, (k+1)(s+1) in all, so the key does not grow with the ring.
+
+Only the work the output needs is done per term.  A linear power table
+is listed directly, one jet variable per t-degree; the last table of a
+term convolves straight into the output rows, scaling as it goes; the
+patterns of a one-variable term are already sorted; and each row is
+sorted on its keys alone.
 """
 
 from math import comb
+from operator import itemgetter
 
 from .poly import Ideal, Poly, PolyRing
 
@@ -58,12 +65,20 @@ class JetRing:
         return f"JetRing({self.base}, {self.order})"
 
 
+MAX_JET_VARIABLES = 10**6
+
+
 def _jet_variables(variables, s):
     """The jets of `variables` at orders 0..s: the order-0 jets in the given
     order, then the order-1 jets, and so on; a variable that is already a
-    jet is refused."""
+    jet is refused, and so are orders with more than MAX_JET_VARIABLES
+    jets, before any is built."""
     if s < 0:
         raise ValueError("jet order must be a natural number")
+    count = len(variables) * (s + 1)
+    if count > MAX_JET_VARIABLES:
+        raise ValueError(f"jets of order {s} need {count} jet variables, "
+                         f"more than {MAX_JET_VARIABLES}")
     parts = [v.partition("_(") for v in variables]   # as ("x", "_(", "1,2)") or ("x", "", "")
     for v, (head, _, _) in zip(variables, parts):
         if head[-1].isdigit():   # a jet order ends the part before the subscripts
@@ -86,10 +101,14 @@ def _power_table(e, s, i, n, unit, shift):
     Entry d lists the terms of t^d as (key, ((o*n + i, mult), ...), count):
     the indices ascend, the mults sum to e, count is e! / prod(mult!), and
     key, the sum of mult * unit << o*shift, orders the pattern if x_{i,o}
-    has key unit << o*shift.  Depth first, each pattern is built once: a
-    stacked one fixes the mults of the orders above `top`, is emitted with
-    order 0 taking the rest of e, and grows by each lower nonzero order.
+    has key unit << o*shift.  A linear table (e = 1) is listed directly:
+    entry d is x_{i,d} alone.  Otherwise, depth first, each pattern is
+    built once: a stacked one fixes the mults of the orders above `top`, is
+    emitted with order 0 taking the rest of e, and grows by each lower
+    nonzero order.
     """
+    if e == 1:
+        return [[(unit << d * shift, ((d * n + i, 1),), 1)] for d in range(s + 1)]
     table = [[] for _ in range(s + 1)]
     stack = [((), 0, e, 0, 1, s)]   # (pattern, key, multiplicity left, t-degree, count, top)
     while stack:
@@ -114,13 +133,19 @@ def series_substitute(f, jets):
     No two terms of the expansion share a jet monomial (see the module
     docstring): each term c*m of f gives the convolution, truncated at s,
     of the power tables of its variables, built once per (variable,
-    exponent) and call on jet indices, and c is scaled once per distinct
-    multinomial count.  Each coefficient is one Poly on normalized terms:
-    a jet monomial is its pattern of (jet index, exponent) pairs, sorted.
-    Sorted once on their order keys, its terms are stored in print order,
-    and it is `_ordered`.  For the r-th of the k variables of f, x_{i,o}
-    adds 1 to field o*(k+1) + k (block o's degree), -1 to o*(k+1) + r,
-    each field w bits wide and counted from the least significant.
+    exponent) and call on jet indices.  The last table convolves straight
+    into the output rows, where c is scaled once per distinct multinomial
+    count.  Each coefficient is one Poly on normalized terms: a jet
+    monomial is its pattern of (jet index, exponent) pairs, sorted.  A
+    term of one variable (or none) keeps its table's patterns, whose
+    indices already ascend; only the joined patterns of several variables
+    are sorted.  Sorted once on their distinct order keys, a row's terms
+    are stored in print order, and it is `_ordered`.  For the r-th of the
+    k variables of f, x_{i,o} adds 1 to field o*(k+1) + k (block o's
+    degree), -1 to o*(k+1) + r, each field w bits wide and counted from
+    the least significant, where 2^w exceeds the degree d of f: two keys'
+    fields differ by at most d, so the highest differing field decides
+    (one bit less fails `test_series_coefficients_are_built_in_print_order`).
     """
     if f.ring != jets.base:
         raise ValueError("polynomial does not live in the base ring")
@@ -128,19 +153,29 @@ def series_substitute(f, jets):
     n = len(jets.base.variables)
     support = sorted({i for mono in f._terms for i, _ in mono})
     k = len(support)
-    w = max((sum(e for _, e in mono) for mono in f._terms), default=0).bit_length() + 1
+    w = max((sum(e for _, e in mono) for mono in f._terms), default=0).bit_length()
     tables = {}   # (variable, exponent) -> _power_table
     rows = [[] for _ in range(s + 1)]   # per t-degree, (key, pattern, coefficient)
     for mono, coef in f._terms.items():
-        partial = None if mono else _power_table(0, s, 0, n, 0, 0)   # x^0 for a constant
+        factors = []
         for i, e in mono:
             factor = tables.get((i, e))
             if factor is None:
                 unit = (1 << w * k) - (1 << w * support.index(i))   # the key of x_{i,0}
                 factor = tables[i, e] = _power_table(e, s, i, n, unit, w * (k + 1))
-            if partial is None:   # the first factor needs no convolution
-                partial = factor
-                continue
+            factors.append(factor)
+        last = factors.pop() if factors else _power_table(0, s, 0, n, 0, 0)   # x^0 for a constant
+        scaled = {1: coef}   # int count -> coef * count
+        if not factors:   # one table: its patterns are already sorted
+            for out, row in zip(rows, last):
+                for key, exps, count in row:
+                    c = scaled.get(count)
+                    if c is None:
+                        c = scaled[count] = coef * count
+                    out.append((key, exps, c))
+            continue
+        partial = factors[0]
+        for factor in factors[1:]:
             grown = [[] for _ in range(s + 1)]
             for d, row in enumerate(partial):
                 for key, exps, count in row:
@@ -149,15 +184,19 @@ def series_substitute(f, jets):
                         for key2, exps2, count2 in factor[d2]:
                             target.append((key + key2, exps + exps2, count * count2))
             partial = grown
-        scaled = {1: coef}   # int count -> coef * count
-        for out, row in zip(rows, partial):
+        for d, row in enumerate(partial):
             for key, exps, count in row:
-                c = scaled.get(count)
-                if c is None:
-                    c = scaled[count] = coef * count
-                out.append((key, exps, c))
-    coefficients = tuple(Poly._trusted(jets.ring, {tuple(sorted(exps)): c for _, exps, c
-                                                   in sorted(row, reverse=True)}) for row in rows)
+                for d2 in range(s + 1 - d):
+                    out = rows[d + d2]
+                    for key2, exps2, count2 in last[d2]:
+                        c = scaled.get(count * count2)
+                        if c is None:
+                            c = scaled[count * count2] = coef * (count * count2)
+                        out.append((key + key2, tuple(sorted(exps + exps2)), c))
+    for row in rows:
+        row.sort(key=itemgetter(0), reverse=True)
+    coefficients = tuple(Poly._trusted(jets.ring, {exps: c for _, exps, c in row})
+                         for row in rows)
     for p in coefficients:
         p._ordered = True   # sorted on distinct keys, so nothing past them was compared
     return coefficients

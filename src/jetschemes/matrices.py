@@ -51,17 +51,26 @@ def generic_matrix(R, m, n):
     return GenericMatrix(R, m, n, entries)
 
 
+def _variable_index(ring, e):
+    """The index of the entry e, which must be a variable of `ring`."""
+    if e.ring == ring and len(e._terms) == 1:
+        ((mono, coef),) = e._terms.items()
+        if coef == 1 and len(mono) == 1 and mono[0][1] == 1:
+            return mono[0][0]
+    raise ValueError(f"{e} is not a variable of {ring}")
+
+
 def minors(r, M):
     """The ideal of all r x r minors, row sets then column sets in lex order.
 
-    The entries must be distinct variables (the text of each is a variable
-    name), so the r! Leibniz terms of a minor are distinct squarefree
-    monomials with coefficient +-1 and none cancel: each minor is one dict
-    over the permutations, with no Poly arithmetic.
+    The entries must be distinct variables of M's ring (each is read off
+    its single monomial), so the r! Leibniz terms of a minor are distinct
+    squarefree monomials with coefficient +-1 and none cancel: each minor
+    is one dict over the permutations, with no Poly arithmetic.
     """
     if not 1 <= r <= min(M.rows, M.cols):
         raise ValueError(f"minor size {r} out of range for a {M.rows}x{M.cols} matrix")
-    index = [[M.ring.index(str(e)) for e in row] for row in M.entries]
+    index = [[_variable_index(M.ring, e) for e in row] for row in M.entries]
     if len({k for row in index for k in row}) < M.rows * M.cols:
         raise ValueError("matrix entries are not distinct variables")
     perms = [(p, Fraction((-1) ** sum(a > b for a, b in itertools.combinations(p, 2))))

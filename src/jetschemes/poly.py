@@ -329,20 +329,24 @@ class Poly:
     def __str__(self):
         if not self._terms:
             return "0"
+        ring = self.ring
         out = []
-        for m, c in self.items():
-            num, den = c.numerator, c.denominator
-            sign = "-" if num < 0 else "+"
+        # an `_ordered` poly's dict is already in print order, so read it in place
+        for m, c in self._terms.items() if self._ordered else self.items():
             try:
-                mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+                coef = str(c)   # "-3/2", "7": the sign comes with it
             except ValueError:   # more digits than `str` writes
                 raise ValueError(_too_long("cannot print a coefficient")) from None
+            if coef[0] != "-":
+                out.append("+")
             if not m:
-                out += (sign, mag)
-            elif mag == "1":
-                out += (sign, monomial_str(self.ring, m))
+                out.append(coef)
+            elif coef == "1":
+                out.append(monomial_str(ring, m))
+            elif coef == "-1":
+                out.append("-" + monomial_str(ring, m))
             else:
-                out += (sign, mag, "*", monomial_str(self.ring, m))
+                out += (coef, "*", monomial_str(ring, m))
         return "".join(out[1:] if out[0] == "+" else out)
 
     def __repr__(self):

@@ -204,6 +204,25 @@ def test_main_semantic_error_exit_1(tmp_path, capsys):
     assert captured.err == "error: unknown name NOPE\n"
 
 
+@pytest.mark.parametrize("script, err", [
+    ("ring R = [x,y]; ideal I = x*y; jets 12345678901234567890 I;",
+     "error: jets of order 12345678901234567890 need 24691357802469135782 jet variables,"
+     " more than 1000000\n"),
+    ("ring R = [x,y]; ideal I = x*y; jetsradical 500000 I;",
+     "error: jets of order 500000 need 1000002 jet variables, more than 1000000\n"),
+    ("graph G = a-b,b-c; graphjets 333333 G;",
+     "error: jets of order 333333 need 1000002 jet variables, more than 1000000\n"),
+])
+def test_main_refuses_too_many_jet_variables_at_once(tmp_path, capsys, script, err):
+    # one past the bound (never near a ring of that size): exit 1, before any name is built
+    path = tmp_path / "big.txt"
+    path.write_text(script, encoding="utf-8")
+    assert main(["--script", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize("flag, out", [
     ([], "[1] ring R = QQ[x,y]\n[2] ideal I = ideal(x*y)\n[3] jets 1 I\ny0*x1+x0*y1\nx0*y0\n"),
     (["--json"], '{"generators":["y0*x1+x0*y1","x0*y0"],"kind":"ideal",'
@@ -373,9 +392,9 @@ def test_json_mode_formats_no_definition(monkeypatch):
                run_script(EVERY_KIND_SCRIPT, json_mode=True).splitlines()]
     ideals = [r for r in records if r["kind"] == "ideal"]   # of `jets 1 I` and `minors 2 M`
     assert len(ideals) == 2
-    # the polys formatted are the generators printed and the 4 entries of
-    # the 2x2 matrix, which `minors` reads by name
-    assert counts == {"Poly": sum(len(r["generators"]) for r in ideals) + 4}
+    # the polys formatted are the generators printed; `minors` reads the
+    # index of each matrix entry off its monomial, not its name
+    assert counts == {"Poly": sum(len(r["generators"]) for r in ideals)}
     counts.clear()
     run_script(EVERY_KIND_SCRIPT)   # text mode echoes every definition
     assert set(counts) == {"Poly", "Ideal", "PolyRing", "Graph", "GenericMatrix"}

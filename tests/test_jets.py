@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,9 @@ import pytest
 from jetschemes import (Ideal, JetRing, Monomial, Poly, PolyRing, RingMap, Variable, compose,
                         generic_matrix, is_homogeneous, jet_ring, jets_ideal, jets_quotient,
                         jets_ring_map, minors, parse_poly, parse_variables, series_substitute)
-from jetschemes.jets import _power_table
+from jetschemes.graphs import Graph, jets_graph
+from jetschemes.jets import MAX_JET_VARIABLES, _power_table
+from jetschemes.monomial import jets_radical
 from jetschemes.poly import term_key
 
 from expected import XYZ_JET2_GENERATORS
@@ -194,9 +197,31 @@ def _order_cases(rng):
             yield Poly(ring, dense), s
 
 
+def _table_cases(rng):
+    """(f, s) whose terms take the short paths of `series_substitute`: the
+    minors of generic 3x3 and 4x4 matrices, whose terms are products of
+    distinct variables and so of linear tables only, at orders <= 4; and
+    one-variable powers c*x^e, alone or with a constant, whose patterns
+    are kept unsorted, at orders up to 20."""
+    for m in (3, 4):
+        M = generic_matrix(PolyRing(parse_variables(f"x_(1,1)..x_({m},{m})")), m, m)
+        for r in range(2, m + 1):
+            for g in minors(r, M).generators:
+                for s in range(5):
+                    yield g, s
+    xyz = PolyRing(parse_variables("x,y,z"))
+    for e in (1, 2, 3, 5, 8):
+        for s in (0, 1, 2, 7, 13, 20):
+            i = rng.randrange(3)
+            yield Poly(xyz, {Monomial({i: e}): _rational(rng)}), s
+            yield Poly(xyz, {Monomial({i: e}): _rational(rng), (): _rational(rng)}), s
+
+
 def test_series_coefficients_are_built_in_print_order():
+    """The key width w = bit_length(degree of f) is exact: the degrees on
+    both sides of the powers of two catch a narrower field."""
     rng = random.Random(20251)
-    for f, s in _order_cases(rng):
+    for f, s in itertools.chain(_order_cases(rng), _table_cases(rng)):
         coeffs = series_substitute(f, jet_ring(f.ring, s))
         assert len(coeffs) == s + 1
         for p in coeffs:
@@ -243,9 +268,9 @@ def _rational(rng):
 def _regime_cases(rng):
     """(f, s, cheap) on the regimes of the series benchmark: plane curves
     c1*x^p + c2*y^q (+ c3*x*y) at orders up to 30, dense polynomials of
-    degree <= 3 over 3 and 4 variables at orders <= 5, and the minors of
-    generic 3x3 and 4x4 matrices at orders <= 4; `cheap` marks the cases
-    the full expansion can check quickly."""
+    degree <= 3 over 3 and 4 variables at orders <= 5, and the cases of
+    `_table_cases`; `cheap` marks the cases the full expansion can check
+    quickly."""
     xy = PolyRing(parse_variables("x,y"))
     for s in (4, 8, 12, 15, 20, 30):
         for p, q in _CURVES:
@@ -261,12 +286,8 @@ def _regime_cases(rng):
                             if sum(exps) <= 3})
         for s in range(6):
             yield dense, s, s <= 2
-    for m in (3, 4):
-        M = generic_matrix(PolyRing(parse_variables(f"x_(1,1)..x_({m},{m})")), m, m)
-        for r in range(2, m + 1):
-            for g in minors(r, M).generators:
-                for s in range(5):
-                    yield g, s, False
+    for f, s in _table_cases(rng):
+        yield f, s, len(f.ring.variables) == 3 and s <= 2
 
 
 def test_series_matches_relabelled_tables_on_benchmark_regimes():
@@ -479,6 +500,21 @@ def test_generator_count_bound(xyz_ring):
         I = Ideal(xyz_ring, gens)
         s = rng.randint(0, 3)
         assert len(jets_ideal(s, I).generators) <= (s + 1) * len(I.generators)
+
+
+def test_jet_orders_past_the_variable_bound_are_refused_before_building():
+    # n(s+1) one past the bound, for rings, radicals and graphs alike
+    ring = PolyRing(parse_variables("x,y"))
+    s = MAX_JET_VARIABLES // 2
+    message = f"jets of order {s} need {MAX_JET_VARIABLES + 2} jet variables"
+    with pytest.raises(ValueError, match=message):
+        jet_ring(ring, s)
+    with pytest.raises(ValueError, match=message):
+        jets_radical(s, Ideal(ring, [ring.var("x")]))
+    with pytest.raises(ValueError, match=message):
+        jets_graph(s, Graph(("a", "b"), [(0, 1)]))
+    with pytest.raises(ValueError, match="need 100000000000000000000 jet variables"):
+        jet_ring(PolyRing(parse_variables("x")), 10**20 - 1)
 
 
 def test_series_ring_mismatch(xyz_ring):
