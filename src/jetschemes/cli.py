@@ -88,14 +88,6 @@ def _read(cur, what, at, *shape):
     return texts
 
 
-def _as_monomial_ideal(value, name):
-    if isinstance(value, MonomialIdeal):
-        return value
-    if not is_monomial_ideal(value):
-        raise ValueError(f"{name} is not a monomial ideal")
-    return MonomialIdeal(value.ring, [m for f in value.generators for m in f._terms])
-
-
 def _command(cur, session):
     """Read and run the `command` ending a statement: (echo, verbatim as "jets 007 I", result)."""
     at = cur.i
@@ -115,9 +107,13 @@ def _run_command(cmd, nat, name, session):
         I = session.lookup(name, _IDEALS, "an ideal")
         if cmd == "jets":
             return jets_ideal(nat, I.to_ideal() if isinstance(I, MonomialIdeal) else I)
+        if not (isinstance(I, MonomialIdeal) or is_monomial_ideal(I)):
+            raise ValueError(f"{name} is not a monomial ideal")
         if cmd == "jetsradical":
             return jets_radical(nat, I)
-        return "primes", minimal_primes_squarefree(_as_monomial_ideal(I, name))
+        if not isinstance(I, MonomialIdeal):
+            I = MonomialIdeal(I.ring, [m for f in I.generators for m in f._terms])
+        return "primes", minimal_primes_squarefree(I)
     G = session.lookup(name, Graph, "a graph")
     if cmd == "graphjets":
         return jets_graph(nat, G)

@@ -29,7 +29,8 @@ def _resolver(vertices):
     index; the vertices must be distinct."""
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
-        raise ValueError("duplicate vertex")
+        name = next(v for i, v in enumerate(vertices) if index[v] != i)
+        raise ValueError(f"duplicate vertex {name}")
 
     def resolve(v):
         if isinstance(v, int):
@@ -204,18 +205,16 @@ def is_chordal(G):
 def chromatic_number(G):
     """Exact chromatic number by iterated k-colorability search.
 
-    k runs from a greedy clique lower bound up to a greedy coloring upper
-    bound; each candidate k is decided by backtracking with new colors
-    introduced at most one at a time.  Cliques and color classes are
-    vertex masks.
+    k runs up from a greedy clique lower bound, and the first k for which
+    backtracking (new colors introduced at most one at a time) finds a
+    coloring is returned.  No upper bound is needed: the first descent of
+    each search is the first-fit greedy coloring in the same order, so a
+    k that greedy reaches succeeds without backtracking.  Cliques and
+    color classes are vertex masks.
     """
     n = len(G.vertices)
     if n > _CHROMATIC_BOUND:
         raise ValueError(f"graph has {n} vertices, above the bound {_CHROMATIC_BOUND}")
-    if n == 0:
-        return 0
-    if not G.edges:
-        return 1
     adj = G.adj
     by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
 
@@ -223,22 +222,10 @@ def chromatic_number(G):
     for v in by_degree:
         if not clique & ~adj[v]:
             clique |= 1 << v
-    lower = clique.bit_count()
-
-    classes = []
-    for v in by_degree:
-        for c, members in enumerate(classes):
-            if not members & adj[v]:
-                classes[c] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    upper = len(classes)
-
-    for k in range(lower, upper):
-        if _colorable(adj, by_degree, [0] * k, 0):
-            return k
-    return upper
+    k = clique.bit_count()
+    while not _colorable(adj, by_degree, [0] * k, 0):
+        k += 1
+    return k
 
 
 def _colorable(adj, order, classes, pos):

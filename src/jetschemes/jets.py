@@ -23,7 +23,8 @@ Each coefficient is built in print order.  The dense row of fields that
 `poly.term_key` compares is additive over products, so a pattern's row,
 packed as one int in balanced radix 2^w with 2^w above the degree of f,
 rides the tables and the convolution as a sum.  Only the k variables f
-uses get fields, (k+1)(s+1) in all, so the key does not grow with the ring.
+uses get fields, and not the first of them: a block's degree and its other
+exponents fix that one's.  So there are k(s+1) fields, whatever the ring.
 
 Only the work the output needs is done per term.  A linear power table
 is listed directly, one jet variable per t-degree; the last table of a
@@ -141,11 +142,14 @@ def series_substitute(f, jets):
     indices already ascend; only the joined patterns of several variables
     are sorted.  Sorted once on their distinct order keys, a row's terms
     are stored in print order, and it is `_ordered`.  For the r-th of the
-    k variables of f, x_{i,o} adds 1 to field o*(k+1) + k (block o's
-    degree), -1 to o*(k+1) + r, each field w bits wide and counted from
-    the least significant, where 2^w exceeds the degree d of f: two keys'
-    fields differ by at most d, so the highest differing field decides
-    (one bit less fails `test_series_coefficients_are_built_in_print_order`).
+    k variables of f, x_{i,o} adds 1 to field o*k + k-1 (block o's
+    degree) and, if r > 0, -1 to field o*k + r-1, each field w bits wide
+    and counted from the least significant, where 2^w exceeds the degree
+    d of f: two keys' fields differ by at most d, so the highest differing
+    field decides (one bit less fails
+    `test_series_coefficients_are_built_in_print_order`).  Rank 0 has no
+    field, as keys that agree on a block's degree and its other exponents
+    agree on its rank-0 exponent too.
     """
     if f.ring != jets.base:
         raise ValueError("polynomial does not live in the base ring")
@@ -161,8 +165,9 @@ def series_substitute(f, jets):
         for i, e in mono:
             factor = tables.get((i, e))
             if factor is None:
-                unit = (1 << w * k) - (1 << w * support.index(i))   # the key of x_{i,0}
-                factor = tables[i, e] = _power_table(e, s, i, n, unit, w * (k + 1))
+                # the key of x_{i,0}; the rank-0 variable has no field
+                unit = (1 << w * (k - 1)) - (1 << w * support.index(i) >> w)
+                factor = tables[i, e] = _power_table(e, s, i, n, unit, w * k)
             factors.append(factor)
         last = factors.pop() if factors else _power_table(0, s, 0, n, 0, 0)   # x^0 for a constant
         scaled = {1: coef}   # int count -> coef * count

@@ -281,8 +281,6 @@ class Poly:
         return Poly._trusted(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):

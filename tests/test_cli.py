@@ -195,6 +195,25 @@ def test_main_parse_error_exit_2(tmp_path, capsys):
     assert "parse error: line 2" in err
 
 
+@pytest.mark.parametrize("command", ["jetsradical 1 I", "ideal J = jetsradical 1 I",
+                                     "minimalprimes I"])
+def test_non_monomial_ideal_is_named(tmp_path, capsys, command):
+    # the radical and the primes refuse a non-monomial ideal by its name, exit 1
+    path = tmp_path / "bad.txt"
+    path.write_text(f"ring R = [x,y]; ideal I = x+y; {command};", encoding="utf-8")
+    assert main(["--script", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "[1] ring R = QQ[x,y]\n[2] ideal I = ideal(x+y)\n"
+    assert captured.err == "error: I is not a monomial ideal\n"
+
+
+def test_chromatic_number_of_a_crown_graph():
+    # bipartite, but first-fit in the search's degree order needs 4 colors
+    script = ("graph G = vertices a..h\n"
+              "a-d,a-f,a-h,c-b,c-f,c-h,e-b,e-d,e-h,g-b,g-d,g-f; chromatic G;")
+    assert run_script(script).splitlines()[1:] == ["[2] chromatic G", "2"]
+
+
 def test_main_semantic_error_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("ring R = [x]; jets 1 NOPE;", encoding="utf-8")

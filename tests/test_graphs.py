@@ -309,10 +309,12 @@ def test_chromatic_matches_brute_force():
     graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(25)]
     # the crown graph on a1,b1,..,a4,b4 (ai-bj for i != j) is bipartite, but
     # greedy coloring in vertex order needs 4 colors; the isolated vertex
-    # makes a greedy independent set larger than the chromatic number
+    # makes a greedy independent set larger than the chromatic number; the
+    # empty graph needs no color
     vs = [Variable(ch) for ch in "abcdefghi"]
     graphs.append(Graph(vs, [(vs[2 * i], vs[2 * j + 1])
                              for i in range(4) for j in range(4) if i != j]))
+    graphs.append(Graph([], []))
     for G in graphs:
         assert chromatic_number(G) == brute_chromatic(len(G.vertices), G.edges)
 
@@ -320,7 +322,7 @@ def test_chromatic_matches_brute_force():
 def test_chromatic_leaves_no_garbage_cycles():
     vs = [Variable(ch) for ch in "abcde"]
     C5 = Graph(vs, [(vs[i], vs[(i + 1) % 5]) for i in range(5)])
-    # both need the k-colorability search: the bounds are 2 and 3, the answer 3
+    # both need backtracking: the clique bound is 2, the answer 3
     graphs = [C5, jets_graph(1, C5)]
     gc.collect()
     gc.disable()
@@ -339,6 +341,24 @@ def test_chromatic_size_bound():
     with pytest.raises(ValueError, match="^graph has 33 vertices, above the bound 32$"):
         chromatic_number(jets_graph(10, triangle))
     assert chromatic_number(Graph(parse_variables("x_(1)..x_(32)"), [])) == 1
+
+
+@pytest.mark.parametrize("build, vertices, edges, message", [
+    (Graph, "aba", [("a", "b")], "^duplicate vertex a$"),
+    (HyperGraph, "abcb", [("a", "b")], "^duplicate vertex b$"),
+    (Graph, "abc", [(0, 3)], "^vertex index out of range$"),
+    (Graph, "abc", [("a", "z")], "^unknown vertex z$"),
+    (HyperGraph, "abc", [("a", "b"), ()], "^empty hyperedge$"),
+])
+def test_graph_input_errors(build, vertices, edges, message):
+    with pytest.raises(ValueError, match=message):
+        build(vertices, edges)
+
+
+def test_graph_from_edge_ideal_needs_squarefree():
+    ring = PolyRing(parse_variables("x,y"))
+    with pytest.raises(ValueError, match="^edge ideal must be squarefree$"):
+        graph_from_edge_ideal(MonomialIdeal(ring, [Monomial({0: 2})]))
 
 
 def test_demo_covers(demo_graph):

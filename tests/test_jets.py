@@ -405,6 +405,18 @@ def test_ring_map_compares_field_by_field_and_checks_its_images(xyz_ring):
         RingMap(xyz_ring, xyz_ring, gens[:2])
     with pytest.raises(ValueError, match="image lives outside the target ring"):
         RingMap(xyz_ring, uvw, gens)
+    with pytest.raises(ValueError, match="^polynomial does not live in the source ring$"):
+        phi(uvw.var("u"))
+    with pytest.raises(ValueError, match="^maps are not composable$"):
+        compose(phi, RingMap(xyz_ring, uvw, uvw.gens()))
+
+
+def test_jets_refuse_foreign_ideals_and_negative_orders(xyz_ring, xyz_ideal):
+    uvw = PolyRing(parse_variables("u,v,w"))
+    with pytest.raises(ValueError, match="^ideal does not live in the given ring$"):
+        jets_quotient(1, uvw, xyz_ideal)
+    with pytest.raises(ValueError, match="^jet order must be a natural number$"):
+        jet_ring(xyz_ring, -1)
 
 
 def test_jets_of_square_map():

@@ -117,6 +117,7 @@ SCRIPT_ERRORS = [
     ("ring R = [x1];", "variable base 'x1' ends in a digit", 10),
     ("ring R = [x_(1)..x_(2), y1];", "variable base 'y1' ends in a digit", 10),
     ("ring R = [x,y,x];", "duplicate variable x", 10),
+    ("graph G = vertices a,b,a; a-b;", "duplicate vertex a", 10),
     ("ring R = [x y];", "expected ']'", 12),
     ("ring R = [x,y;", "expected ']'", 13),
     ("ring R = [x] y;", "unexpected 'y'", 13),

@@ -169,6 +169,19 @@ def test_add_cancellation(xyz_ring):
     assert (x + y) + (-y) == x
 
 
+def test_sub_of_numbers_and_polynomials(xyz_ring):
+    p = parse_poly("x*y-2*z", xyz_ring)
+    q = parse_poly("x*y+1/2", xyz_ring)
+    assert p - 3 == parse_poly("x*y-2*z-3", xyz_ring)
+    assert 3 - p == parse_poly("-x*y+2*z+3", xyz_ring)
+    assert p - q == parse_poly("-2*z-1/2", xyz_ring)
+
+
+def test_negative_power_is_refused(xyz_ring):
+    with pytest.raises(ValueError, match="^exponent must be a natural number$"):
+        xyz_ring.var("x") ** -1
+
+
 def test_zero_results_are_the_zero_polynomial(xyz_ring):
     p = parse_poly("2*x*y-1/3*z^2+5", xyz_ring)
     for z in (p * 0, 0 * p, p - p, p + (-p)):
