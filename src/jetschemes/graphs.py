@@ -5,8 +5,8 @@ with one generator per edge.  The radical of the jets of that ideal is
 again squarefree and quadratic, and the graph it encodes is the jets of
 the original graph: each vertex v acquires copies v0..vs, and by the
 closed form in `monomial`, u_a and v_b are adjacent iff uv is an edge and
-a + b <= s.  Jets of graphs and hypergraphs are built from that closed
-form on vertex indices, without going through an ideal.  The minimal
+a + b <= s.  Jets of graphs (on neighbor masks) and of hypergraphs (on
+vertex indices) are built from that form, without an ideal.  The minimal
 vertex covers of a graph are the complements of its maximal independent
 sets, listed by Bron-Kerbosch on neighbor masks; those of a hypergraph
 come from Berge's transversal sweep in `monomial`.  Either way the covers
@@ -44,41 +44,42 @@ def _resolver(vertices):
     return resolve
 
 
-def _adjacency(n, edges):
-    """Neighbor masks: bit j of entry i is set iff i-j is an edge."""
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return tuple(adj)
-
-
 class Graph:
-    """A finite simple graph; vertices are variables, edges unordered pairs."""
+    """A finite simple graph on named vertices, held as neighbor masks: bit j
+    of `adj[i]` is set iff i-j is an edge.  The edges are read off the masks."""
 
-    __slots__ = ("vertices", "edges", "adj")
+    __slots__ = ("vertices", "adj")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         resolve = _resolver(self.vertices)
-        pairs = set()
+        adj = [0] * len(self.vertices)
         for u, v in edges:
             i, j = resolve(u), resolve(v)
             if i == j:
                 raise ValueError(f"loop at vertex {self.vertices[i]}")
-            pairs.add((i, j) if i < j else (j, i))
-        self.edges = tuple(sorted(pairs))
-        self.adj = _adjacency(len(self.vertices), self.edges)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        self.adj = tuple(adj)
 
     @classmethod
-    def _trusted(cls, vertices, edges):
-        """A graph on a tuple of distinct vertices and the sorted, distinct
-        index pairs (i, j), i < j, of its edges; nothing is checked."""
+    def _trusted(cls, vertices, adj):
+        """A graph on distinct vertices and symmetric loopless masks, unchecked."""
         G = object.__new__(cls)
         G.vertices = vertices
-        G.edges = tuple(edges)
-        G.adj = _adjacency(len(vertices), G.edges)
+        G.adj = adj
         return G
+
+    @property
+    def edges(self):
+        """Sorted index pairs (i, j), i < j: the set bits of adj[i] above i."""
+        pairs = []
+        for i in reversed(range(len(self.adj))):
+            rest = self.adj[i]
+            while (j := rest.bit_length() - 1) > i:
+                pairs.append((i, j))
+                rest ^= 1 << j
+        return tuple(reversed(pairs))
 
     def edge_pairs(self):
         """Edges as pairs of vertices, in canonical order."""
@@ -86,7 +87,7 @@ class Graph:
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.vertices == other.vertices
-                and self.edges == other.edges)
+                and self.adj == other.adj)
 
     def __str__(self):
         vs = ",".join(self.vertices)
@@ -142,35 +143,33 @@ def graph_from_edge_ideal(I):
     return Graph(I.ring.variables, [(i, j) for (i, _), (j, _) in I.generators])
 
 
-def _jet_edges(s, G):
-    """The jet vertices and the jet index tuples of every edge of G.
+def jets_graph(s, G):
+    """The order-s jets of a graph, on vertices v0..vs for each vertex v.
 
-    Each tuple is sorted, and no two are equal: a tuple maps back to its
-    edge (index k to vertex k mod n), and the tuples of one edge differ
-    in their orders."""
+    u_a, at index a*n + u, is adjacent to v_b iff uv is an edge and a + b <= s:
+    its mask is G.adj[u] * R[s - a], R[k] the sum of 2**(b*n) for b = 0..k,
+    n-bit copies of u's mask that never overlap, built up one copy per k.
+    The jet vertices come first, so a too-large order is refused unbuilt."""
     vertices = tuple(_jet_variables(G.vertices, s))
     n = len(G.vertices)
-    return vertices, [idx for edge in G.edges
-                      for idx in _jet_supports([(i, 1) for i in edge], s, n)]
-
-
-def jets_graph(s, G):
-    """The order-s jets of a graph, on vertices v0..vs for each vertex v."""
-    vertices, edges = _jet_edges(s, G)
-    edges.sort()
-    return Graph._trusted(vertices, edges)
+    adj, masks = [0] * len(vertices), [0] * n
+    for k in range(s + 1):
+        masks = [c | m << k * n for c, m in zip(masks, G.adj)]
+        adj[(s - k) * n:(s - k + 1) * n] = masks
+    return Graph._trusted(vertices, tuple(adj))
 
 
 def jets_hypergraph(s, H):
     """The order-s jets of a hypergraph, kept inclusion-minimal."""
-    return HyperGraph(*_jet_edges(s, H))
+    n = len(H.vertices)
+    return HyperGraph(_jet_variables(H.vertices, s), [
+        idx for edge in H.edges for idx in _jet_supports([(i, 1) for i in edge], s, n)])
 
 
 def complement_graph(G):
-    adj = G.adj
-    n = len(adj)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
-    return Graph._trusted(G.vertices, edges)
+    """The graph on G's vertices whose edges are G's non-edges."""
+    full = (1 << len(G.adj)) - 1
+    return Graph._trusted(G.vertices, tuple(full ^ a ^ (1 << v) for v, a in enumerate(G.adj)))
 
 
 def is_chordal(G):

@@ -36,7 +36,7 @@ sorted on its keys alone.
 from math import comb
 from operator import itemgetter
 
-from .poly import Ideal, Poly, PolyRing
+from .poly import SIZE_BOUND, Ideal, Poly, PolyRing
 
 
 class JetRing:
@@ -66,20 +66,17 @@ class JetRing:
         return f"JetRing({self.base}, {self.order})"
 
 
-MAX_JET_VARIABLES = 10**6
-
-
 def _jet_variables(variables, s):
     """The jets of `variables` at orders 0..s: the order-0 jets in the given
     order, then the order-1 jets, and so on; a variable that is already a
-    jet is refused, and so are orders with more than MAX_JET_VARIABLES
+    jet is refused, and so are orders with more than `poly.SIZE_BOUND`
     jets, before any is built."""
     if s < 0:
         raise ValueError("jet order must be a natural number")
     count = len(variables) * (s + 1)
-    if count > MAX_JET_VARIABLES:
+    if count > SIZE_BOUND:
         raise ValueError(f"jets of order {s} need {count} jet variables, "
-                         f"more than {MAX_JET_VARIABLES}")
+                         f"more than {SIZE_BOUND}")
     parts = [v.partition("_(") for v in variables]   # as ("x", "_(", "1,2)") or ("x", "", "")
     for v, (head, _, _) in zip(variables, parts):
         if head[-1].isdigit():   # a jet order ends the part before the subscripts

@@ -2,8 +2,9 @@
 
 import itertools
 from fractions import Fraction
+from math import comb, perm
 
-from .poly import Ideal, Poly
+from .poly import SIZE_BOUND, Ideal, Poly
 
 
 class GenericMatrix:
@@ -66,10 +67,15 @@ def minors(r, M):
     The entries must be distinct variables of M's ring (each is read off
     its single monomial), so the r! Leibniz terms of a minor are distinct
     squarefree monomials with coefficient +-1 and none cancel: each minor
-    is one dict over the permutations, with no Poly arithmetic.
+    is one dict over the permutations, with no Poly arithmetic.  More than
+    `poly.SIZE_BOUND` terms in all are refused before any is built.
     """
     if not 1 <= r <= min(M.rows, M.cols):
         raise ValueError(f"minor size {r} out of range for a {M.rows}x{M.cols} matrix")
+    terms = comb(M.rows, r) * perm(M.cols, r)   # C(rows, r) C(cols, r) r!
+    if terms > SIZE_BOUND:
+        raise ValueError(f"the {r}x{r} minors of a {M.rows}x{M.cols} matrix have {terms} "
+                         f"terms, more than {SIZE_BOUND}")
     index = [[_variable_index(M.ring, e) for e in row] for row in M.entries]
     if len({k for row in index for k in row}) < M.rows * M.cols:
         raise ValueError("matrix entries are not distinct variables")

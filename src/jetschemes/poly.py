@@ -20,7 +20,9 @@ import itertools
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
+SIZE_BOUND = 10**6   # the most names a variable list or jet order, or terms `minors`, may make
 _WIDTH = 32   # bits of a field value in a term_key item; degrees stay below 2^_WIDTH
 _DIGITS = "0123456789"   # a jet order's digits end a variable's name, before its subscripts
 
@@ -612,7 +614,7 @@ def _variables(cur):
         name = cur.name("a variable name")
         if toks[cur.i] == "..":
             cur.i += 1
-            result.extend(_expand_range(cur, name, cur.name("a variable name"), at))
+            result.extend(_expand_range(cur, name, cur.name("a variable name"), at, len(result)))
         else:
             result.append(Variable(*_split_name(name)))
         if toks[cur.i] != ",":
@@ -620,8 +622,10 @@ def _variables(cur):
         cur.i += 1
 
 
-def _expand_range(cur, name, name2, at):
+def _expand_range(cur, name, name2, at, have):
     """The variables of the range `name..name2`; an error is at token `at`.
+    A box that would take the `have` names before it past SIZE_BOUND is
+    refused before any of its names is built.
 
     Each name is built from parts checked once: a box's base by `Variable`,
     its coordinates stringified once per range; a letter range's letters in
@@ -635,6 +639,10 @@ def _expand_range(cur, name, name2, at):
             raise cur.error("subscript range needs tuples of equal length", at)
         if any(lo > hi for lo, hi in zip(subs, subs2)):
             raise cur.error("empty subscript range", at)
+        count = have + prod(hi - lo + 1 for lo, hi in zip(subs, subs2))
+        if count > SIZE_BOUND:
+            raise cur.error(f"range brings the list to {count} names, "
+                            f"more than {SIZE_BOUND}", at)
         Variable(base)   # checks the base the whole box shares
         box = itertools.product(*[list(map(str, range(lo, hi + 1)))
                                   for lo, hi in zip(subs, subs2)])

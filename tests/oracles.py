@@ -520,6 +520,19 @@ def jets_graph_by_terms(s, G):
     return graph_from_edge_ideal(jets_radical_by_terms(s, edge_ideal(G)))
 
 
+def jets_graph_by_orders(s, vertices, pairs):
+    """The order-s jets of the graph on `vertices` whose edges are the index
+    `pairs` (in any order, possibly repeated), by the Goward-Smith closed
+    form: u_a-v_b for every pair uv and every a + b <= s, handed to the
+    validating `Graph` constructor.  The order-a copy of vertex k sits at
+    index a*n + k and is named by `split_name`, with no jet-ring code."""
+    n = len(vertices)
+    names = [Variable(base, subs, a) for a in range(s + 1)
+             for base, subs, _ in map(split_name, vertices)]
+    return Graph(names, [(a * n + u, b * n + v) for u, v in pairs
+                         for a in range(s + 1) for b in range(s + 1 - a)])
+
+
 def jets_hypergraph_by_terms(s, H):
     """The jets of a hypergraph through its edge ideal and term collection."""
     rad = jets_radical_by_terms(s, edge_ideal(H))

@@ -242,6 +242,27 @@ def test_main_refuses_too_many_jet_variables_at_once(tmp_path, capsys, script, e
     assert captured.err == err
 
 
+@pytest.mark.parametrize("script, code, err", [
+    ("ring R = [x_(1)..x_(99999999999)];", 2,
+     "parse error: line 1, column 11: range brings the list to 99999999999 names,"
+     " more than 1000000\n"),
+    ("graph G = vertices x_(1,1)..x_(3000,3000)\n;", 2,
+     "parse error: line 1, column 20: range brings the list to 9000000 names,"
+     " more than 1000000\n"),
+    ("ring R = [x_(1,1)..x_(12,12)]; matrix M = generic(R,12,12); minors 12 M;", 1,
+     "error: the 12x12 minors of a 12x12 matrix have 479001600 terms, more than 1000000\n"),
+])
+def test_main_refuses_oversized_ranges_and_minors_at_once(tmp_path, capsys, script, code, err):
+    # a range is a parse error at its first name (exit 2), minors a plain
+    # error (exit 1); both are refused before any name or term is built
+    path = tmp_path / "big.txt"
+    path.write_text(script, encoding="utf-8")
+    assert main(["--script", str(path), "--json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize("flag, out", [
     ([], "[1] ring R = QQ[x,y]\n[2] ideal I = ideal(x*y)\n[3] jets 1 I\ny0*x1+x0*y1\nx0*y0\n"),
     (["--json"], '{"generators":["y0*x1+x0*y1","x0*y0"],"kind":"ideal",'

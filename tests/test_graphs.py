@@ -13,8 +13,9 @@ from jetschemes import (Graph, HyperGraph, Monomial, MonomialIdeal, ParseError, 
 
 from expected import DEMO_COVERS, DEMO_J1_EDGES, DEMO_J2_EDGES, DEMO_J2_COVERS
 from oracles import (assert_normal_form, brute_chromatic, brute_minimal_covers,
-                     chordal_by_induced_cycles, goward_smith_jets_edges, jets_graph_by_terms,
-                     jets_hypergraph_by_terms, parse_graph_text_by_regex, random_graph)
+                     chordal_by_induced_cycles, goward_smith_jets_edges, jets_graph_by_orders,
+                     jets_graph_by_terms, jets_hypergraph_by_terms, parse_graph_text_by_regex,
+                     random_graph)
 
 
 def _edge_names(G):
@@ -23,6 +24,16 @@ def _edge_names(G):
 
 def _cover_names(covers):
     return [{str(v) for v in c} for c in covers]
+
+
+def _sparse_graph(rng, n, degree):
+    """The vertices v_(0)..v_(n-1), about degree*n/2 random index pairs on
+    them, some repeated or reversed (so a vertex may be isolated), and the
+    sorted distinct pairs (i, j), i < j, that they make."""
+    vertices = [Variable("v", (i,)) for i in range(n)]
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(degree * n // 2)] if n > 1 else []
+    pairs += [p[::-1] for p in rng.sample(pairs, len(pairs) // 4)]
+    return vertices, pairs, tuple(sorted({(min(p), max(p)) for p in pairs}))
 
 
 def test_edge_ideal_of_demo_graph(demo_graph):
@@ -151,6 +162,18 @@ def test_jets_graphs_match_term_collection():
         assert_normal_form(edge_ideal(H))
         # the vertices of the jets graph are the jet ring's variables, so its blocks too
         assert edge_ideal(jets_graph(s, G)).ring == jets_radical(s, edge_ideal(G)).ring
+    # past one mask word and past 1,000 jet vertices, with isolated vertices and
+    # no vertex at all, against the order vectors of the closed form
+    sizes = []
+    for n, degree, s in [(0, 0, 2), (1, 0, 3), (5, 0, 1), (3, 2, 4), (64, 2, 1), (65, 3, 2),
+                         (70, 2, 15), (70, 6, 14), (40, 1, 9)]:
+        vertices, pairs, edges = _sparse_graph(rng, n, degree)
+        J = jets_graph(s, Graph(vertices, pairs))
+        assert J == jets_graph_by_orders(s, vertices, pairs)
+        assert J.edges == tuple(sorted({tuple(sorted((a * n + u, b * n + v))) for u, v in edges
+                                        for a in range(s + 1) for b in range(s + 1 - a)}))
+        sizes.append(len(J.vertices))
+    assert sizes[:2] == [0, 4] and max(sizes) == 1120
 
 
 def test_graph_jets_agree_with_the_ring_path():
@@ -227,15 +250,19 @@ def test_chordal_matches_networkx(demo_graph):
 
 
 def test_graph_adjacency_masks():
+    # the masks and the edges read off them, both against the input pairs
     a, b, c, d = (Variable(ch) for ch in "abcd")
     G = Graph([a, b, c, d], [(c, b), (a, b), (b, c)])
     assert G.adj == (0b0010, 0b0101, 0b0010, 0b0000)
+    assert G.edges == ((0, 1), (1, 2))
     rng = random.Random(20404)
-    for _ in range(20):
-        G = random_graph(rng, rng.randint(0, 10))
-        for i in range(len(G.vertices)):
-            assert {j for j in range(len(G.vertices)) if G.adj[i] >> j & 1} == \
-                {j for e in G.edges if i in e for j in e if j != i}
+    for _ in range(40):
+        n = rng.randint(0, 80)
+        vertices, pairs, edges = _sparse_graph(rng, n, rng.randint(0, 6))
+        G = Graph(vertices, pairs)
+        assert G.adj == tuple(sum({1 << j for p in pairs for k, j in (p, p[::-1]) if k == i})
+                              for i in range(n))
+        assert G.edges == edges
 
 
 def test_trusted_graphs_match_the_validating_constructor():
@@ -248,6 +275,20 @@ def test_trusted_graphs_match_the_validating_constructor():
             assert H == checked and H.adj == checked.adj
             assert type(H.vertices) is tuple and type(H.edges) is tuple
             assert all(i < j for i, j in H.edges)
+    # sparse graphs past one mask word, isolated vertices, one vertex and none:
+    # complements against the pair scan, and repeated or reversed pairs collapse
+    for n, degree in [(0, 0), (1, 0), (6, 0), (64, 1), (65, 2), (70, 6), (90, 30)]:
+        vertices, pairs, edges = _sparse_graph(rng, n, degree)
+        G = Graph(vertices, pairs)
+        assert G == Graph(vertices, edges) and G.edges == edges
+        C = complement_graph(G)
+        assert C == Graph(C.vertices, C.edge_pairs())
+        assert C.edges == tuple(sorted(set(combinations(range(n), 2)) - set(edges)))
+        assert complement_graph(C) == G
+        for s in (0, 1, 4):
+            J = jets_graph(s, G)
+            assert J == Graph(J.vertices, J.edge_pairs())
+            assert complement_graph(complement_graph(J)) == J
 
 
 def test_covers_match_the_frozenset_path():

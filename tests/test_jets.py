@@ -10,9 +10,9 @@ from jetschemes import (Ideal, JetRing, Monomial, Poly, PolyRing, RingMap, Varia
                         generic_matrix, is_homogeneous, jet_ring, jets_ideal, jets_quotient,
                         jets_ring_map, minors, parse_poly, parse_variables, series_substitute)
 from jetschemes.graphs import Graph, jets_graph
-from jetschemes.jets import MAX_JET_VARIABLES, _power_table
+from jetschemes.jets import _power_table
 from jetschemes.monomial import jets_radical
-from jetschemes.poly import term_key
+from jetschemes.poly import SIZE_BOUND, term_key
 
 from expected import XYZ_JET2_GENERATORS
 from oracles import (assert_normal_form, dense_from_poly, dense_poly_str, random_poly,
@@ -517,8 +517,8 @@ def test_generator_count_bound(xyz_ring):
 def test_jet_orders_past_the_variable_bound_are_refused_before_building():
     # n(s+1) one past the bound, for rings, radicals and graphs alike
     ring = PolyRing(parse_variables("x,y"))
-    s = MAX_JET_VARIABLES // 2
-    message = f"jets of order {s} need {MAX_JET_VARIABLES + 2} jet variables"
+    s = SIZE_BOUND // 2
+    message = f"jets of order {s} need {SIZE_BOUND + 2} jet variables"
     with pytest.raises(ValueError, match=message):
         jet_ring(ring, s)
     with pytest.raises(ValueError, match=message):

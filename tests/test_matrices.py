@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from jetschemes import (GenericMatrix, PolyRing, generic_matrix, jets_ideal, minors,
+from jetschemes import (GenericMatrix, PolyRing, generic_matrix, jets_ideal, matrices, minors,
                         parse_variables, run_script)
 
 from expected import GENERIC_3X3_ROWS
@@ -67,6 +67,21 @@ def test_minors_out_of_range(generic3):
     for r in (0, 4):
         with pytest.raises(ValueError, match="out of range"):
             minors(r, generic3)
+
+
+def test_minors_past_the_term_bound_are_refused_before_building(monkeypatch):
+    # C(rows, r) * C(cols, r) * r! Leibniz terms in all, one past the bound
+    ring = PolyRing(parse_variables("x_(1,1)..x_(12,12)"))
+    for M, r, terms in [(generic_matrix(ring, 12, 12), 12, 479001600),
+                        (generic_matrix(ring, 10, 10), 4, 1058400)]:
+        with pytest.raises(ValueError, match=f"have {terms} terms, more than 1000000"):
+            minors(r, M)
+    monkeypatch.setattr(matrices, "SIZE_BOUND", 20)
+    assert len(minors(2, generic_matrix(ring, 2, 5)).generators) == 10
+    monkeypatch.setattr(matrices, "SIZE_BOUND", 19)
+    with pytest.raises(ValueError, match="the 2x2 minors of a 2x5 matrix have 20 terms, "
+                                         "more than 19"):
+        minors(2, generic_matrix(ring, 2, 5))
 
 
 def test_determinant_term_signs_follow_permutation_parity(generic3):

@@ -79,6 +79,10 @@ VARIABLE_ERRORS = [
     ("a,x..x_(1)", "subscript range needs tuples of equal length", 2),
     ("x_(2)..x_(1)", "empty subscript range", 0),
     ("x_(1,2)..x_(2,1)", "empty subscript range", 0),
+    ("x_(1)..x_(99999999999)",
+     "range brings the list to 99999999999 names, more than 1000000", 0),
+    ("a,x_(1,1)..x_(99999,99999)",
+     "range brings the list to 9999800002 names, more than 1000000", 2),
     ("ab..c", "letter range needs single letters in order", 0),
     ("c..a", "letter range needs single letters in order", 0),
 ]
@@ -118,6 +122,8 @@ SCRIPT_ERRORS = [
     ("ring R = [x_(1)..x_(2), y1];", "variable base 'y1' ends in a digit", 10),
     ("ring R = [x,y,x];", "duplicate variable x", 10),
     ("graph G = vertices a,b,a; a-b;", "duplicate vertex a", 10),
+    ("graph G = vertices a,x_(0,0)..x_(99999,99999)\na-x_(0,0);",
+     "range brings the list to 10000000001 names, more than 1000000", 21),
     ("ring R = [x y];", "expected ']'", 12),
     ("ring R = [x,y;", "expected ']'", 13),
     ("ring R = [x] y;", "unexpected 'y'", 13),
@@ -147,6 +153,20 @@ def test_parse_error_message_and_offset(grammar, text, message, pos):
     with pytest.raises(ParseError) as err:
         PARSERS[grammar](text)
     assert (err.value.message, err.value.pos) == (message, pos)
+
+
+def test_ranges_are_bounded_by_the_names_before_them(monkeypatch):
+    # a box may not take the body's running total of names past the bound,
+    # which is checked before any of its names is built
+    monkeypatch.setattr(poly, "SIZE_BOUND", 10)
+    message = "range brings the list to 11 names, more than 10"
+    assert len(parse_variables("a,x_(1)..x_(3),y_(1,1)..y_(2,3)")) == 10
+    with pytest.raises(ParseError) as err:
+        parse_variables("a,b,x_(1)..x_(3),y_(1,1)..y_(2,3)")
+    assert (err.value.message, err.value.pos) == (message, 17)
+    with pytest.raises(ParseError) as err:
+        run_script("graph G = vertices x_(1)..x_(5), y_(1)..y_(6)\n;")
+    assert (err.value.message, err.value.pos) == (message, 33)
 
 
 def test_unicode_digits_read_as_ints():
