@@ -16,7 +16,8 @@ one into its tuple of vertices.
 
 from itertools import compress
 
-from .poly import Monomial, PolyRing, Variable, _Cursor, _split_name, _variables
+from .poly import (SIZE_BOUND, Monomial, PolyRing, Variable, _Cursor, _indexed, _split_name,
+                   _variables)
 from .jets import _jet_variables
 from .monomial import (MonomialIdeal, _by_size, _jet_supports, _minimal_masks, _rows,
                        _transversals)
@@ -27,10 +28,7 @@ _CHROMATIC_BOUND = 32   # the most vertices `chromatic_number` will search
 def _resolver(vertices):
     """The lookup from a vertex, given by its name or its index, to its
     index; the vertices must be distinct."""
-    index = {v: i for i, v in enumerate(vertices)}
-    if len(index) != len(vertices):
-        name = next(v for i, v in enumerate(vertices) if index[v] != i)
-        raise ValueError(f"duplicate vertex {name}")
+    index = _indexed(vertices, "vertex")
 
     def resolve(v):
         if isinstance(v, int):
@@ -149,8 +147,12 @@ def jets_graph(s, G):
     u_a, at index a*n + u, is adjacent to v_b iff uv is an edge and a + b <= s:
     its mask is G.adj[u] * R[s - a], R[k] the sum of 2**(b*n) for b = 0..k,
     n-bit copies of u's mask that never overlap, built up one copy per k.
-    The jet vertices come first, so a too-large order is refused unbuilt."""
+    The jet vertices come first, and the (s+1)(s+2)/2 jets of each edge are
+    counted, so a too-large order is refused unbuilt."""
     vertices = tuple(_jet_variables(G.vertices, s))
+    count = sum(a.bit_count() for a in G.adj) // 2 * (s + 1) * (s + 2) // 2
+    if count > SIZE_BOUND:
+        raise ValueError(f"jets of order {s} have {count} edges, more than {SIZE_BOUND}")
     n = len(G.vertices)
     adj, masks = [0] * len(vertices), [0] * n
     for k in range(s + 1):

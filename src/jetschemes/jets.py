@@ -1,7 +1,7 @@
 """Jets of rings, ideals, and ring maps.
 
-The order-s jet ring of QQ[x_1..x_n] adjoins one variable per original
-variable and per order 0..s, arranged in blocks of increasing order.
+The order-s jet ring of QQ[x_1..x_n], a `JetRing`, is the polynomial ring
+of one variable per original variable and order 0..s, in blocks of rising order.
 Substituting each variable by its truncated Taylor expansion
 x_k -> x_{k,0} + x_{k,1} t + ... + x_{k,s} t^s and reading off the
 coefficients of t^0..t^s turns a polynomial into an order-s truncated
@@ -39,28 +39,17 @@ from operator import itemgetter
 from .poly import SIZE_BOUND, Ideal, Poly, PolyRing
 
 
-class JetRing:
-    """The order-s jet ring of a base ring of n variables.
+class JetRing(PolyRing):
+    """The order-s jet ring of a base ring of n variables: the `PolyRing` of
+    its jets, in s+1 blocks of n (the order-j jet of base variable k is
+    `variables[j*n + k]`), that also knows its `base` and `order`."""
 
-    `ring` is the flattened polynomial ring, in s+1 blocks of n: the
-    order-j jet of base variable k is `ring.variables[j*n + k]`.
-    """
+    __slots__ = ("base", "order")
 
-    __hash__ = None   # equal field by field, and mutable
-
-    def __init__(self, base, order, ring):
+    def __init__(self, base, order):
+        PolyRing.__init__(self, _jet_variables(base.variables, order))
         self.base = base
         self.order = order
-        self.ring = ring
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.order, self.ring)
-                == (other.base, other.order, other.ring))
-
-    def __str__(self):
-        return str(self.ring)
 
     def __repr__(self):
         return f"JetRing({self.base}, {self.order})"
@@ -89,7 +78,7 @@ def _jet_variables(variables, s):
 
 def jet_ring(base, s):
     """Build the order-s jet ring of a ring of variables that are not jets."""
-    return JetRing(base, s, PolyRing(_jet_variables(base.variables, s)))
+    return JetRing(base, s)
 
 
 def _power_table(e, s, i, n, unit, shift):
@@ -125,8 +114,9 @@ def _power_table(e, s, i, n, unit, shift):
 def series_substitute(f, jets):
     """Expand f at the truncated Taylor substitution of its variables.
 
-    Returns the tuple of s+1 polynomials of the jet ring whose j-th entry
-    is the t^j part of f(sum_j x_{1,j} t^j, ..., sum_j x_{n,j} t^j).
+    Returns the tuple of s+1 polynomials of `jets`, the order-s jet ring of
+    f's ring (any other ring is a ValueError), whose j-th entry is the t^j
+    part of f(sum_j x_{1,j} t^j, ..., sum_j x_{n,j} t^j).
 
     No two terms of the expansion share a jet monomial (see the module
     docstring): each term c*m of f gives the convolution, truncated at s,
@@ -148,8 +138,8 @@ def series_substitute(f, jets):
     field, as keys that agree on a block's degree and its other exponents
     agree on its rank-0 exponent too.
     """
-    if f.ring != jets.base:
-        raise ValueError("polynomial does not live in the base ring")
+    if not isinstance(jets, JetRing) or f.ring != jets.base:
+        raise ValueError("ring is not the jet ring of the polynomial's ring")
     s = jets.order
     n = len(jets.base.variables)
     support = sorted({i for mono in f._terms for i, _ in mono})
@@ -197,7 +187,7 @@ def series_substitute(f, jets):
                         out.append((key + key2, tuple(sorted(exps + exps2)), c))
     for row in rows:
         row.sort(key=itemgetter(0), reverse=True)
-    coefficients = tuple(Poly._trusted(jets.ring, {exps: c for _, exps, c in row})
+    coefficients = tuple(Poly._trusted(jets, {exps: c for _, exps, c in row})
                          for row in rows)
     for p in coefficients:
         p._ordered = True   # sorted on distinct keys, so nothing past them was compared
@@ -209,16 +199,17 @@ def jets_ideal(s, I):
     f_(i,j), j <= s, of every generator, grouped by generator with the
     highest order first; vanishing coefficients are dropped."""
     jets = jet_ring(I.ring, s)
-    return Ideal(jets.ring, [c for f in I.generators
-                             for c in reversed(series_substitute(f, jets))])
+    return Ideal(jets, [c for f in I.generators
+                        for c in reversed(series_substitute(f, jets))])
 
 
 def jets_quotient(s, R, I):
     """Jets of a quotient presentation (R, I): the pair (jet ring of R,
-    jets of I as an ideal of its ring)."""
+    jets of I as an ideal of it)."""
     if I.ring != R:
         raise ValueError("ideal does not live in the given ring")
-    return jet_ring(R, s), jets_ideal(s, I)
+    ideal = jets_ideal(s, I)
+    return ideal.ring, ideal
 
 
 class RingMap:
@@ -267,7 +258,7 @@ def compose(outer, inner):
 
 
 def jets_ring_map(s, phi):
-    """The map induced on jet rings, between their polynomial rings: the
+    """The map induced between the jet rings of the source and target: the
     order-j jet of x_k goes to the t^j coefficient of the expansion of
     the image of x_k."""
     source = jet_ring(phi.source, s)
@@ -276,4 +267,4 @@ def jets_ring_map(s, phi):
     images = tuple(expansions[k][j]
                    for j in range(s + 1)
                    for k in range(len(phi.source.variables)))
-    return RingMap(source.ring, target.ring, images)
+    return RingMap(source, target, images)

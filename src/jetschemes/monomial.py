@@ -153,7 +153,7 @@ def jets_radical(s, I):
         monomials = [m for f in I.generators for m in f._terms]
     else:
         raise ValueError("jets_radical needs a monomial ideal")
-    ring = jet_ring(I.ring, s).ring
+    ring = jet_ring(I.ring, s)
     n = len(I.ring.variables)
     supports = {sum([1 << k for k in idx]): idx for m in monomials
                 for idx in _jet_supports(m, s, n)}

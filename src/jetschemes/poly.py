@@ -63,6 +63,15 @@ def _subscripted(text, subscripts):
     return text + "_(" + ",".join(map(str, subscripts)) + ")"
 
 
+def _indexed(names, kind):
+    """Each of `names` mapped to its index; a repeated name is a duplicate `kind`."""
+    index = {v: i for i, v in enumerate(names)}
+    if len(index) != len(names):
+        name = next(v for i, v in enumerate(names) if index[v] != i)
+        raise ValueError(f"duplicate {kind} {name}")
+    return index
+
+
 class PolyRing:
     """Ordered variables over QQ, split into consecutive blocks.
 
@@ -78,15 +87,11 @@ class PolyRing:
 
     def __init__(self, variables):
         self.variables = tuple(variables)
-        n = len(self.variables)
         # runs of equal jet orders, each a head (name before "_(") less its base
         heads = [v.partition("_(")[0] for v in self.variables]
         orders = map(str.removeprefix, heads, map(str.rstrip, heads, itertools.repeat(_DIGITS)))
         self.blocks = tuple([len(list(run)) for _, run in itertools.groupby(orders)]) or (0,)
-        self._by_name = {v: i for i, v in enumerate(self.variables)}
-        if len(self._by_name) != n:
-            name = next(v for i, v in enumerate(self.variables) if self._by_name[v] != i)
-            raise ValueError(f"duplicate variable {name}")
+        self._by_name = _indexed(self.variables, "variable")
         # fields from the least significant: each block's variables, then its degree
         self._key = fields = []
         pos = 0

@@ -132,7 +132,7 @@ def series_by_full_expansion(f, jr):
     with one extra slot for the series parameter, expands completely, and
     splits the result by the parameter's exponent.
     """
-    njet = len(jr.ring.variables)
+    njet = len(jr.variables)
     nbase = len(jr.base.variables)
     n = njet + 1
     subs = []
@@ -205,7 +205,7 @@ def series_by_relabelled_tables(f, jr):
         for terms, row in zip(out, partial):
             for exps, count in row:
                 terms[tuple(sorted(exps))] = coef if count == 1 else coef * count
-    return tuple(Poly._trusted(jr.ring, terms) for terms in out)
+    return tuple(Poly._trusted(jr, terms) for terms in out)
 
 
 def assert_normal_form(x):
@@ -476,7 +476,7 @@ def jets_radical_by_constructor(s, I):
         monomials = I.generators
     else:
         monomials = [m for f in I.generators for m in f._terms]
-    ring = jet_ring(I.ring, s).ring
+    ring = jet_ring(I.ring, s)
     n = len(I.ring.variables)
     supports = {tuple((k, 1) for k in idx) for m in monomials
                 for idx in _jet_supports(m, s, n)}

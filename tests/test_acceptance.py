@@ -134,8 +134,8 @@ def test_criterion_10_invariant_suite(xyz_ring):
 
     # truncation consistency and base-slice identity
     J3 = jet_ring(xyz_ring, 3)
-    rename = RingMap(xyz_ring, J3.ring,
-                     tuple(J3.ring.var(k) for k in range(len(xyz_ring.variables))))
+    rename = RingMap(xyz_ring, J3,
+                     tuple(J3.var(k) for k in range(len(xyz_ring.variables))))
     for _ in range(15):
         f = random_poly(rng, xyz_ring)
         big = series_substitute(f, J3)
@@ -149,7 +149,7 @@ def test_criterion_10_invariant_suite(xyz_ring):
     homogeneous = parse_poly("x^2*y+3*x*y*z-z^3", xyz_ring)
     for s in range(4):
         J = jet_ring(xyz_ring, s)
-        weights = [split_name(v)[2] for v in J.ring.variables]
+        weights = [split_name(v)[2] for v in J.variables]
         for j, c in enumerate(series_substitute(homogeneous, J)):
             assert is_homogeneous(c, weights)
             assert {sum(weights[i] * e for i, e in m) for m in c._terms} == {j}

@@ -251,10 +251,14 @@ def test_main_refuses_too_many_jet_variables_at_once(tmp_path, capsys, script, e
      " more than 1000000\n"),
     ("ring R = [x_(1,1)..x_(12,12)]; matrix M = generic(R,12,12); minors 12 M;", 1,
      "error: the 12x12 minors of a 12x12 matrix have 479001600 terms, more than 1000000\n"),
+    # a-b has (s+1)(s+2)/2 jet edges: 1,000,405 at s = 1413, one order too many
+    ("graph G = a-b; graphjets 1413 G;", 1,
+     "error: jets of order 1413 have 1000405 edges, more than 1000000\n"),
 ])
 def test_main_refuses_oversized_ranges_and_minors_at_once(tmp_path, capsys, script, code, err):
-    # a range is a parse error at its first name (exit 2), minors a plain
-    # error (exit 1); both are refused before any name or term is built
+    # a range is a parse error at its first name (exit 2), minors and graph
+    # jets a plain error (exit 1); all are refused before any name, term or
+    # mask is built
     path = tmp_path / "big.txt"
     path.write_text(script, encoding="utf-8")
     assert main(["--script", str(path), "--json"]) == code

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -110,6 +111,31 @@ def test_jets_graph_vertex_count():
             assert got == goward_smith_jets_edges(G, t)
 
 
+def test_jets_graphs_past_the_edge_bound_are_refused_before_building():
+    # each edge has (s+1)(s+2)/2 jets; a-b has 998,991 at s = 1412, and
+    # 1,000,405, past the bound, at s = 1413
+    rng = random.Random(3001)
+    for _ in range(6):
+        G, s = random_graph(rng, rng.randint(1, 7)), rng.randint(0, 9)
+        jets = jets_graph(s, G)
+        assert len(jets.edges) == len(G.edges) * (s + 1) * (s + 2) // 2
+    G = Graph("ab", [("a", "b")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match="^jets of order 1413 have 1000405 edges, more than 1000000$"):
+            jets_graph(1413, G)
+        _, refused_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        built = jets_graph(1412, G)
+        _, built_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(a.bit_count() for a in built.adj) // 2 == 998991
+    # the refusal makes the 2,828 jet vertices, but not their masks
+    assert refused_peak * 3 < built_peak, (refused_peak, built_peak)
+
+
 def test_jets_graph_monotone_inclusion(demo_graph):
     # lower-order jet edges persist; equality after restriction fails since
     # order-s coefficients contribute edges like {u1,v1} at s = 2
@@ -193,7 +219,7 @@ def test_graph_jets_agree_with_the_ring_path():
         H = HyperGraph(G.vertices, [rng.sample(range(n), rng.randint(1, min(n, 3)))
                                     for _ in range(rng.randint(0, 4))])
         for s in range(5):
-            want = jet_ring(PolyRing(G.vertices), s).ring.variables
+            want = jet_ring(PolyRing(G.vertices), s).variables
             for got in (jets_graph(s, G).vertices, jets_hypergraph(s, H).vertices):
                 assert got == want
                 assert [str(v) for v in got] == [str(v) for v in want]

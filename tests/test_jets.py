@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -21,24 +22,24 @@ from oracles import (assert_normal_form, dense_from_poly, dense_poly_str, random
 
 def test_jet_ring_order2(xyz_ring):
     J = jet_ring(xyz_ring, 2)
-    assert len(J.ring.variables) == 9
-    assert str(J.ring) == "QQ[x0,y0,z0][x1,y1,z1][x2,y2,z2]"
-    assert J.ring.blocks == (3, 3, 3)
-    assert PolyRing(J.ring.variables) == J.ring
-    assert str(PolyRing(J.ring.variables)) == str(J.ring)
-    assert [split_name(v)[2] for v in J.ring.variables] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert len(J.variables) == 9
+    assert str(J) == "QQ[x0,y0,z0][x1,y1,z1][x2,y2,z2]"
+    assert J.blocks == (3, 3, 3)
+    assert PolyRing(J.variables) == J
+    assert str(PolyRing(J.variables)) == str(J)
+    assert [split_name(v)[2] for v in J.variables] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 def test_jet_ring_order0():
     R = PolyRing(parse_variables("x"))
     J = jet_ring(R, 0)
-    assert [str(v) for v in J.ring.variables] == ["x0"]
+    assert [str(v) for v in J.variables] == ["x0"]
 
 
 def test_jet_ring_subscripted():
     R = PolyRing(parse_variables("x_(1,1)..x_(3,3)"))
     J = jet_ring(R, 1)
-    names = [str(v) for v in J.ring.variables]
+    names = [str(v) for v in J.variables]
     assert len(names) == 18
     assert names[0] == "x0_(1,1)"
     assert names[9] == "x1_(1,1)"
@@ -55,14 +56,14 @@ def test_jet_variables_match_the_validating_constructor(names):
     for s in range(7):
         J = jet_ring(R, s)
         want = [Variable(*split_name(v)[:2], j) for j in range(s + 1) for v in R.variables]
-        assert len(J.ring.variables) == len(want) == n * (s + 1)
-        for k, (v, w) in enumerate(zip(J.ring.variables, want)):
+        assert len(J.variables) == len(want) == n * (s + 1)
+        for k, (v, w) in enumerate(zip(J.variables, want)):
             assert v == w and type(v) is str, (v, w)
             assert split_name(v)[2] == k // n
-            assert J.ring.index(w) == k
+            assert J.index(w) == k
         checked = PolyRing(want)
         assert checked.blocks == (n,) * (s + 1)
-        assert J.ring == checked and hash(J.ring) == hash(checked)
+        assert J == checked and hash(J) == hash(checked)
 
 
 def test_ring_index_rejects_foreign_variables(xyz_ring):
@@ -77,16 +78,16 @@ def test_ring_index_rejects_foreign_variables(xyz_ring):
 def test_jet_ring_rejects_jet_ring(xyz_ring):
     J = jet_ring(xyz_ring, 1)
     with pytest.raises(ValueError, match="x0 is already a jet variable; iterated jets"):
-        jet_ring(J.ring, 1)
+        jet_ring(J, 1)
     with pytest.raises(ValueError, match="x0 is already a jet variable; iterated jets"):
-        jet_ring(PolyRing(J.ring.variables), 1)
+        jet_ring(PolyRing(J.variables), 1)
 
 
 def test_series_xyz_order2(xyz_ring):
     f = parse_poly("x*y*z", xyz_ring)
     J = jet_ring(xyz_ring, 2)
     series = series_substitute(f, J)
-    expected = [parse_poly(text, J.ring)
+    expected = [parse_poly(text, J)
                 for text in reversed(XYZ_JET2_GENERATORS)]
     assert list(series) == expected
 
@@ -252,9 +253,9 @@ def test_print_order_does_not_leak_into_arithmetic():
               Poly(p.ring, p._terms), Poly(p.ring, p.items())):
         assert not r._ordered
         assert str(r) == dense_poly_str(r)
-        assert r.items() == sorted(r._terms.items(), key=lambda kv: term_key(J.ring, kv[0]),
+        assert r.items() == sorted(r._terms.items(), key=lambda kv: term_key(J, kv[0]),
                                    reverse=True)
-    assert not parse_poly("x0*y1 + x1", J.ring)._ordered
+    assert not parse_poly("x0*y1 + x1", J)._ordered
 
 
 # the series benchmark's plane-curve exponents (p, q)
@@ -321,7 +322,7 @@ def test_series_matches_sympy_expand():
         f = random_poly(rng, R, max_degree=3, max_terms=4)
         s = rng.randint(0, 4)
         J = jet_ring(R, s)
-        names = sympy.symbols([str(v) for v in J.ring.variables])
+        names = sympy.symbols([str(v) for v in J.variables])
         n = len(R.variables)
         images = [sum(names[j * n + k] * t ** j for j in range(s + 1)) for k in range(n)]
         expanded = sympy.expand(to_sympy(f, images))
@@ -352,20 +353,21 @@ def test_jets_of_one_generator_has_order_plus_one_coefficients():
 
 def test_jets_quotient_order0(xyz_ring, xyz_ideal):
     J, ji = jets_quotient(0, xyz_ring, xyz_ideal)
-    assert len(J.ring.variables) == 3
+    assert len(J.variables) == 3
     assert [str(g) for g in ji.generators] == ["x0*y0*z0"]
 
 
 def test_jets_quotient_matches_parts(xyz_ring, xyz_ideal):
     J, ji = jets_quotient(2, xyz_ring, xyz_ideal)
     assert J == jet_ring(xyz_ring, 2)
+    assert J is ji.ring and type(J) is JetRing   # one jet ring for the pair
     assert ji == jets_ideal(2, xyz_ideal)
 
 
 def test_jets_quotient_zero_ideal():
     R = PolyRing(parse_variables("x"))
     J, ji = jets_quotient(1, R, Ideal(R, []))
-    assert str(J.ring) == "QQ[x0][x1]"
+    assert str(J) == "QQ[x0][x1]"
     assert ji.generators == ()
 
 
@@ -376,17 +378,28 @@ def test_jets_of_identity_map(xyz_ring):
         assert jphi == RingMap(jphi.source, jphi.source, jphi.source.gens())
 
 
-def test_jet_ring_compares_field_by_field_and_is_unhashable(xyz_ring):
-    J = jet_ring(xyz_ring, 2)
-    assert J == jet_ring(PolyRing(parse_variables("x,y,z")), 2)
-    assert J == JetRing(J.base, J.order, J.ring)
-    assert J != JetRing(J.ring, J.order, J.ring)
-    assert J != JetRing(J.base, 3, J.ring)
-    assert J != JetRing(J.base, J.order, jet_ring(xyz_ring, 1).ring)
-    assert J != J.ring and not J == (J.base, J.order, J.ring)
-    with pytest.raises(TypeError):
-        hash(J)
+def test_jet_ring_is_the_polynomial_ring_of_its_jets(xyz_ring):
+    J = JetRing(xyz_ring, 2)
+    rebuilt = PolyRing(J.variables)
+    assert isinstance(J, PolyRing) and J.base is xyz_ring and J.order == 2
+    assert J == jet_ring(xyz_ring, 2) == rebuilt and rebuilt == J == jet_ring(xyz_ring, 2)
+    assert hash(J) == hash(jet_ring(xyz_ring, 2)) == hash(rebuilt)
+    assert {J: "jets"}[rebuilt] == "jets" and {rebuilt: "ring"}[J] == "ring"
+    assert len({J, rebuilt, jet_ring(xyz_ring, 2)}) == 1
+    assert J != jet_ring(xyz_ring, 1) and J != xyz_ring
+    assert str(J) == str(rebuilt) == "QQ[x0,y0,z0][x1,y1,z1][x2,y2,z2]"
     assert repr(J) == "JetRing(QQ[x,y,z], 2)"
+    # equality, hashing and printing are the ring's; nothing else is stored
+    assert not {"__eq__", "__hash__", "__str__"} & vars(JetRing).keys()
+    assert not hasattr(J, "ring") and not hasattr(J, "__dict__")
+    coefficient = series_substitute(parse_poly("x*y - z", xyz_ring), J)[1]
+    assert coefficient.ring == rebuilt
+    assert coefficient == parse_poly("x1*y0 + x0*y1 - z1", rebuilt)
+    with pytest.raises(TypeError):
+        JetRing(xyz_ring, 2, rebuilt)
+    back = pickle.loads(pickle.dumps(J))
+    assert type(back) is JetRing and back == J and hash(back) == hash(J)
+    assert back.base == xyz_ring and back.order == 2
 
 
 def test_ring_map_compares_field_by_field_and_checks_its_images(xyz_ring):
@@ -434,8 +447,8 @@ def test_jets_of_square_map():
 def test_jet_weight_example():
     R = PolyRing(parse_variables("x,y"))
     J = jet_ring(R, 1)
-    f = parse_poly("x1*y0+x0*y1", J.ring)
-    weights = [split_name(v)[2] for v in J.ring.variables]
+    f = parse_poly("x1*y0+x0*y1", J)
+    weights = [split_name(v)[2] for v in J.variables]
     assert is_homogeneous(f, weights)
     assert {sum(weights[i] * e for i, e in m) for m in f._terms} == {1}
 
@@ -477,8 +490,8 @@ def test_truncation_consistency(xyz_ring):
 def test_base_slice_is_order_zero_relabeling(xyz_ring):
     rng = random.Random(20204)
     J = jet_ring(xyz_ring, 2)
-    rename = RingMap(xyz_ring, J.ring,
-                     tuple(J.ring.var(k) for k in range(len(xyz_ring.variables))))
+    rename = RingMap(xyz_ring, J,
+                     tuple(J.var(k) for k in range(len(xyz_ring.variables))))
     for _ in range(10):
         f = random_poly(rng, xyz_ring)
         assert series_substitute(f, J)[0] == rename(f)
@@ -489,7 +502,7 @@ def test_jet_weight_homogeneity(xyz_ring):
     for _ in range(10):
         f = random_poly(rng, xyz_ring)
         J = jet_ring(xyz_ring, rng.randint(0, 3))
-        weights = [split_name(v)[2] for v in J.ring.variables]
+        weights = [split_name(v)[2] for v in J.variables]
         for j, c in enumerate(series_substitute(f, J)):
             assert is_homogeneous(c, weights)
             if not c.is_zero():
@@ -534,18 +547,26 @@ def test_series_ring_mismatch(xyz_ring):
     J = jet_ring(xyz_ring, 1)
     with pytest.raises(ValueError):
         series_substitute(other.var("u"), J)
+    # only the jet ring of f's ring: not the PolyRing equal to it, nor the
+    # jet ring of another base
+    f = parse_poly("x*y", xyz_ring)
+    for ring in (PolyRing(J.variables), xyz_ring, jet_ring(PolyRing(parse_variables("x,y")), 1),
+                 jet_ring(PolyRing(parse_variables("x,y,w")), 1)):
+        with pytest.raises(ValueError,
+                           match="^ring is not the jet ring of the polynomial's ring$"):
+            series_substitute(f, ring)
 
 
 def test_jets_return_the_library_values(xyz_ring, xyz_ideal):
     J = jet_ring(xyz_ring, 2)
     series = series_substitute(parse_poly("x*y*z", xyz_ring), J)
     assert type(series) is tuple and len(series) == 3
-    assert all(type(c) is Poly and c.ring == J.ring for c in series)
+    assert all(type(c) is Poly and c.ring == J for c in series)
     ji = jets_ideal(2, xyz_ideal)
-    assert type(ji) is Ideal and ji.ring == J.ring
+    assert type(ji) is Ideal and ji.ring == J
     jphi = jets_ring_map(2, RingMap(xyz_ring, xyz_ring, xyz_ring.gens()))
     assert type(jphi) is RingMap
-    assert jphi.source == jphi.target == J.ring
+    assert jphi.source == jphi.target == J
 
 
 def test_iterated_jets_are_refused(xyz_ring, xyz_ideal):

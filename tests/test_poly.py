@@ -102,12 +102,12 @@ def test_ring_blocks_are_the_runs_of_one_jet_order():
     ring = PolyRing([x0, y0, x1, z])
     assert ring.blocks == (2, 1, 1) and str(ring) == "QQ[x0,y0][x1][z]"
     J = jet_ring(PolyRing(parse_variables("x,y")), 1)
-    rebuilt = PolyRing(J.ring.variables)
-    assert str(rebuilt) == str(J.ring) == "QQ[x0,y0][x1,y1]"
-    assert rebuilt == J.ring and hash(rebuilt) == hash(J.ring) and J.ring == J.ring
+    rebuilt = PolyRing(J.variables)
+    assert str(rebuilt) == str(J) == "QQ[x0,y0][x1,y1]"
+    assert rebuilt == J and hash(rebuilt) == hash(J) and J == J
     assert PolyRing([x0, x1]) != PolyRing([x1, x0])
     # the jet ring of an empty ring has no variables, so one empty block
-    assert str(jet_ring(PolyRing([]), 2).ring) == "QQ[]"
+    assert str(jet_ring(PolyRing([]), 2)) == "QQ[]"
     with pytest.raises(TypeError):
         PolyRing([x0], (1,))
 
@@ -368,7 +368,7 @@ def _random_poly_text(rng, ring):
 def test_parse_poly_matches_the_constructor_oracle():
     rings = [PolyRing(parse_variables("x,y,z,w")),
              PolyRing(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
-             jet_ring(PolyRing(parse_variables("x,y_(1,2)")), 2).ring]
+             jet_ring(PolyRing(parse_variables("x,y_(1,2)")), 2)]
     rng = random.Random(9)
     for k in range(600):
         ring = rings[k % 3]
@@ -386,7 +386,7 @@ def test_parse_polys_matches_parse_poly_on_each_text():
     # one cursor over the whole list: a comma inside a spelled-out subscript
     # ("x _( 1 , 2 )") stays in its name, and only the others split the list
     rings = [PolyRing(parse_variables("x_(1,1)..x_(2,3),y_(0,12)")),
-             jet_ring(PolyRing(parse_variables("x,y_(1,2)")), 2).ring,
+             jet_ring(PolyRing(parse_variables("x,y_(1,2)")), 2),
              PolyRing(parse_variables("x,y,z,w"))]
     rng = random.Random(11)
     spelled_commas = 0
@@ -465,7 +465,7 @@ def _random_big_monomial(rng, nvars):
 
 def _key_test_rings():
     plain = [PolyRing(parse_variables(names)) for names in ("x", "x,y,z", "a..h")]
-    jets = [jet_ring(ring, s).ring for ring in plain[:2] for s in range(6)]
+    jets = [jet_ring(ring, s) for ring in plain[:2] for s in range(6)]
     # runs of one jet order, so blocks of the given sizes
     mixed = [PolyRing([Variable(ch, (), order) for ch, order in
                        zip("abcdefg", [j for j, size in enumerate(blocks) for _ in range(size)])])
@@ -511,7 +511,7 @@ def test_term_key_sorts_like_the_dense_key():
                 _assert_keys_agree(ring, Monomial({i: top - 1, i - 1: 1}), m2)
 
     # a 3-block jet ring x0,y0 | x1,y1 | x2,y2, with hand-picked pairs (smaller, larger)
-    ring = jet_ring(PolyRing(parse_variables("x,y")), 2).ring
+    ring = jet_ring(PolyRing(parse_variables("x,y")), 2)
 
     def mono(text):
         (m,) = parse_poly(text, ring)._terms
@@ -548,7 +548,7 @@ def test_term_key_size_does_not_grow_with_the_ring():
     """One int per variable and per block of the monomial, and the 0; each
     int holds a field position below 2^14 and a value below 2^32."""
     rings = [PolyRing(parse_variables("x_(1)..x_(5000)")),
-             jet_ring(PolyRing(parse_variables("x_(1)..x_(500)")), 9).ring]
+             jet_ring(PolyRing(parse_variables("x_(1)..x_(500)")), 9)]
     for ring in rings:
         n = len(ring.variables)
         monos = [Monomial(), Monomial({n - 1: 1}), Monomial({0: 2, n - 1: 1}),
@@ -623,7 +623,7 @@ def test_variable_is_its_name():
 
 def test_every_variable_the_library_builds_is_a_plain_str():
     ring = PolyRing(parse_variables("a..c,x_(1,1)..x_(2,3),y_(0),z,w"))
-    jets = jet_ring(ring, 2).ring
+    jets = jet_ring(ring, 2)
     G = parse_graph_text("u-v, v-x_(1), vertices-u")
     H = parse_graph_text("vertices a..d, x_(0,1)..x_(0,2)\na-b, x_(0,1)-c")
     variables = [*ring.variables, *jets.variables, *G.vertices, *H.vertices,
@@ -664,7 +664,7 @@ def test_variable_fields_round_trip_through_the_name():
         variables.append(v)
     plain = [v for v in dict.fromkeys(variables) if split_name(v)[2] is None]
     for s in (0, 1, 12):
-        variables += jet_ring(PolyRing(plain), s).ring.variables
+        variables += jet_ring(PolyRing(plain), s).variables
     parts = [split_name(v) for v in variables]
     for v, (base, subs, order) in zip(variables, parts):
         assert Variable(base, subs, order) == v, v

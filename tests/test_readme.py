@@ -17,6 +17,8 @@ def test_library_example_runs_with_the_stated_counts():
     (code,) = re.findall(r"```python\n(.*?)```", _readme(), re.S)
     scope = {}
     exec(code, scope)
+    assert scope["ji"].ring == scope["J"] == scope["g"].ring
+    assert str(scope["c1"]) == "y0*x1+x0*y1" and scope["c1"].ring == scope["J"]
     assert len(scope["ji"].generators) == 3
     assert len(scope["rad"].generators) == 10
     assert len(scope["primes"]) == 10
